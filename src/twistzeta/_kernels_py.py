@@ -78,7 +78,10 @@ def cyclo_mul(xs: tuple, ys: tuple, rows: tuple) -> tuple:
     """Coordinate product in Q(zeta_r).
 
     xs and ys have length phi; rows[j] holds the reduced integer
-    coordinates of z^(phi+j) modulo the field polynomial.
+    coordinates of z^(phi+j) modulo the field polynomial.  Any exact
+    coefficient type works; CyclotomicElement passes the integer
+    numerators of its two operands and divides by the product of their
+    denominators afterwards.
     """
     phi = len(xs)
     n = 2 * phi - 1

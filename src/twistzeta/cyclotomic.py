@@ -2,9 +2,12 @@
 
 An element is a coordinate vector of length phi(r) in the power basis
 1, z, ..., z^(phi(r)-1), where z is a fixed primitive r-th root of unity,
-kept fully reduced modulo the r-th cyclotomic polynomial.  Coordinates are
-exact rationals, so equality of coordinate vectors is equality in the
-field and values can be compared across independently computed routes.
+kept fully reduced modulo the r-th cyclotomic polynomial.  The
+coordinates are exact rationals stored as integer numerators over one
+common denominator in lowest terms (the layout of ANTIC's nf_elem), so
+scalings, sums and products run on plain ints, and equality of the
+stored vectors is equality in the field: values can be compared across
+independently computed routes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import cmath
 import fractions
 import functools
 import math
+import operator
 
 from ._backend import kernels
 from ._rational import ONE, ZERO, Rational, format_rational
@@ -145,18 +149,16 @@ class CyclotomicField:
         return CyclotomicField(order)
 
     def element(self, coords) -> "CyclotomicElement":
-        coords = tuple(
-            c if isinstance(c, type(ONE)) else Rational(c) for c in coords
-        )
+        coords = [_exact(c) for c in coords]
         if len(coords) != self.degree:
             raise DimensionMismatch(
                 f"expected {self.degree} coordinates, got {len(coords)}"
             )
-        return CyclotomicElement(self, coords)
+        return _from_rationals(self, coords)
 
     def constant(self, value) -> "CyclotomicElement":
-        coords = (Rational(value),) + (ZERO,) * (self.degree - 1)
-        return CyclotomicElement(self, coords)
+        p, q = _ratio(_exact(value))
+        return CyclotomicElement(self, (p,) + (0,) * (self.degree - 1), q)
 
     @property
     def zero(self) -> "CyclotomicElement":
@@ -173,90 +175,171 @@ class CyclotomicField:
             # r = 1 or 2: z is 1 or -1
             base = self.constant(-1) if self.order == 2 else self.one
         else:
-            coords = [ZERO] * self.degree
-            coords[1] = ONE
-            base = CyclotomicElement(self, tuple(coords))
+            num = [0] * self.degree
+            num[1] = 1
+            base = CyclotomicElement(self, tuple(num), 1)
         return base**e
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"
 
 
+_RATIONAL_TYPES = (fractions.Fraction, type(ONE))
+_EXACT_TYPES = (int,) + _RATIONAL_TYPES
+
+
+def _exact(c):
+    """c as an exact rational; floats and complex numbers are refused."""
+    if isinstance(c, (float, complex)):
+        raise TypeError(
+            f"coordinates must be exact rationals, not {type(c).__name__}"
+        )
+    return c if isinstance(c, _EXACT_TYPES) else Rational(c)
+
+
+def _ratio(x):
+    """(p, q) in lowest terms with q > 0 for an exact scalar, else None."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, _RATIONAL_TYPES):
+        # gmpy2.mpq: keep the stored numerators plain ints
+        return int(x.numerator), int(x.denominator)
+    return None
+
+
+def _from_rationals(field: CyclotomicField, coords) -> "CyclotomicElement":
+    """The canonical element with these exact coordinates.
+
+    Over den = lcm of the reduced denominators the numerators already
+    have no common factor with den, so no further gcd is needed."""
+    pairs = [_ratio(c) for c in coords]
+    den = math.lcm(*(q for _, q in pairs))
+    num = tuple(p * (den // q) for p, q in pairs)
+    return CyclotomicElement(field, num, den)
+
+
+def _reduced(field: CyclotomicField, num: tuple, den: int):
+    """The canonical element num/den, for any den > 0."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return CyclotomicElement(field, num, den)
+
+
 class CyclotomicElement:
-    """An exact element of Q(zeta_r); immutable, canonical coordinates."""
+    """An exact element of Q(zeta_r); immutable and canonical.
 
-    __slots__ = ("field", "coords")
+    The coordinates are num[i] / den with integer numerators and one
+    shared denominator den > 0, where gcd(den, *num) == 1; zero is
+    stored with den == 1.  Equal elements therefore have equal
+    (num, den), which is what equality and hashing compare.
+    """
 
-    def __init__(self, field: CyclotomicField, coords: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CyclotomicField, num: tuple, den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
 
-    def _lift(self, other):
-        """Coerce an exact scalar to coordinates in this field, or None."""
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as exact rationals, lowest terms each."""
+        den = self.den
+        return tuple(Rational(c, den) for c in self.num)
+
+    def _operand(self, other):
+        """(num, den) of another element or exact scalar, or None."""
         if isinstance(other, CyclotomicElement):
             if other.field.order != self.field.order:
                 raise FieldMismatch(
                     f"orders {self.field.order} and {other.field.order}"
                 )
-            return other.coords
-        if isinstance(other, int) or isinstance(other, type(ONE)):
-            q = Rational(other)
-            return (q,) + (ZERO,) * (self.field.degree - 1)
-        if isinstance(other, fractions.Fraction):
-            q = Rational(other.numerator, other.denominator)
-            return (q,) + (ZERO,) * (self.field.degree - 1)
-        return None
+            return other.num, other.den
+        pq = _ratio(other)
+        if pq is None:
+            return None
+        return (pq[0],) + (0,) * (self.field.degree - 1), pq[1]
+
+    def _add(self, bn: tuple, bd: int) -> "CyclotomicElement":
+        an, ad = self.num, self.den
+        if ad == bd:
+            return _reduced(self.field, tuple(map(operator.add, an, bn)), ad)
+        if not any(an):
+            return CyclotomicElement(self.field, bn, bd)
+        if not any(bn):
+            return self
+        g = math.gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        num = tuple([x * sa + y * sb for x, y in zip(an, bn)])
+        if g == 1:
+            # a prime of ad (or bd) divides every numerator only if it
+            # divides every a (or b) numerator, which canonical form rules out
+            return CyclotomicElement(self.field, num, ad * bd)
+        return _reduced(self.field, num, ad * sa)
 
     def __add__(self, other):
-        oc = self._lift(other)
-        if oc is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return CyclotomicElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, oc))
-        )
+        return self._add(*operand)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        oc = self._lift(other)
-        if oc is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return CyclotomicElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, oc))
-        )
+        bn, bd = operand
+        return self._add(tuple(-c for c in bn), bd)
 
     def __rsub__(self, other):
-        oc = self._lift(other)
-        if oc is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return CyclotomicElement(
-            self.field, tuple(b - a for a, b in zip(self.coords, oc))
-        )
+        return (-self)._add(*operand)
 
     def __neg__(self):
-        return CyclotomicElement(self.field, tuple(-a for a in self.coords))
+        return CyclotomicElement(
+            self.field, tuple(-c for c in self.num), self.den
+        )
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, CyclotomicElement):
-            if other.field.order != self.field.order:
+            if other.field.order != field.order:
                 raise FieldMismatch(
-                    f"orders {self.field.order} and {other.field.order}"
+                    f"orders {field.order} and {other.field.order}"
                 )
-            coords = kernels.cyclo_mul(
-                self.coords, other.coords, self.field.reduction_rows
-            )
-            return CyclotomicElement(
-                self.field,
-                tuple(
-                    c if isinstance(c, type(ONE)) else Rational(c)
-                    for c in coords
-                ),
-            )
-        oc = self._lift(other)
-        if oc is None:
+            num = kernels.cyclo_mul(self.num, other.num, field.reduction_rows)
+            return _reduced(field, num, self.den * other.den)
+        pq = _ratio(other)
+        if pq is None:
             return NotImplemented
-        q = oc[0]
-        return CyclotomicElement(self.field, tuple(a * q for a in self.coords))
+        p, q = pq
+        if q == 1:
+            if p == 1:
+                return self
+            if not p:
+                return CyclotomicElement(field, (0,) * field.degree, 1)
+        # p/q and num/den are both in lowest terms, so only p against den
+        # and q against the numerators can cancel.
+        num, den = self.num, self.den
+        g = math.gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        if q != 1:
+            g = math.gcd(q, *num)
+            if g != 1:
+                q //= g
+                num = [c // g for c in num]
+            den *= q
+        return CyclotomicElement(field, tuple([c * p for c in num]), den)
 
     __rmul__ = __mul__
 
@@ -277,11 +360,12 @@ class CyclotomicElement:
 
     def inverse(self) -> "CyclotomicElement":
         """Multiplicative inverse via the extended Euclidean algorithm on
-        the coordinate polynomial and the field polynomial over Q."""
+        the numerator polynomial and the field polynomial over Q; the
+        inverse of num/den is den times the inverse of num."""
         if self.is_zero:
             raise ZeroInverse("zero has no inverse")
-        # Invariant: old_r = old_s * self + (...) * modulus, over Q[x].
-        old_r = [q for q in self.coords]
+        # Invariant: old_r = old_s * num + (...) * modulus, over Q[x].
+        old_r = [Rational(c) for c in self.num]
         r = [Rational(c) for c in self.field.modulus]
         old_s = [ONE]
         s: list = [ZERO]
@@ -293,26 +377,28 @@ class CyclotomicElement:
         lead = _poly_trim(old_r)
         if len(lead) != 1:
             raise ZeroInverse("element shares a factor with the modulus")
-        inv_lead = ONE / lead[0]
-        coeffs = [c * inv_lead for c in old_s]
-        coeffs = coeffs[: self.field.degree]
+        scale = self.den / lead[0]
+        coeffs = [c * scale for c in old_s[: self.field.degree]]
         coeffs += [ZERO] * (self.field.degree - len(coeffs))
-        return CyclotomicElement(self.field, tuple(coeffs))
+        return _from_rationals(self.field, coeffs)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     @property
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and not any(self.coords[1:])
+        num = self.num
+        return self.den == 1 and num[0] == 1 and not any(num[1:])
 
     def embed(self) -> complex:
         """Numeric value at z = exp(2 pi i / r), in double precision."""
+        # int / int is correctly rounded, the same double as float(p/q)
         z = self.field._root
+        den = self.den
         acc = 0j
-        for c in reversed(self.coords):
-            acc = acc * z + float(c)
+        for c in reversed(self.num):
+            acc = acc * z + c / den
         return acc
 
     def coords_text(self) -> str:
@@ -322,15 +408,16 @@ class CyclotomicElement:
         if isinstance(other, CyclotomicElement):
             return (
                 self.field.order == other.field.order
-                and self.coords == other.coords
+                and self.den == other.den
+                and self.num == other.num
             )
-        oc = self._lift(other)
-        if oc is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        return self.coords == oc
+        return (self.num, self.den) == operand
 
     def __hash__(self):
-        return hash((self.field.order, self.coords))
+        return hash((self.field.order, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero

@@ -1,12 +1,16 @@
 """Cyclotomic field arithmetic.
 
 Expected polynomial coefficients are the classical tables; field axioms
-and inverses are property-checked; embeddings are compared against the
-complex exponential they represent.
+and inverses are property-checked on rational coordinates, with the
+stored form (integer numerators over one reduced denominator) checked
+after every operation; embeddings are compared against the complex
+exponential they represent.
 """
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from twistzeta.cyclotomic import (
     CyclotomicField,
     cyclotomic_polynomial,
 )
+from twistzeta import _kernels_py
 from twistzeta.errors import DimensionMismatch, FieldMismatch, ZeroInverse
 from twistzeta._rational import rat
 
@@ -68,46 +73,111 @@ def test_fields_are_interned():
     assert CyclotomicField.get(6) is CyclotomicField.get(6)
 
 
-coords_st = st.lists(
-    st.integers(-9, 9).map(lambda n: rat(n, 1)), min_size=1, max_size=4
-)
+def assert_canonical(x):
+    """num is phi plain ints over one den > 0 sharing no factor with them;
+    zero is stored over 1."""
+    assert len(x.num) == x.field.degree
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if x.is_zero:
+        assert x.den == 1
+
+
+rationals_st = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
+
+
+def draw_element(data, field):
+    cs = data.draw(
+        st.lists(rationals_st, min_size=field.degree, max_size=field.degree)
+    )
+    x = field.element(cs)
+    assert x.coords == tuple(cs)
+    assert_canonical(x)
+    return x
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 4, 5, 6, 8, 12]), st.data())
 def test_ring_axioms(r, data):
     field = CyclotomicField.get(r)
-    deg = field.degree
-
-    def elem():
-        cs = data.draw(
-            st.lists(st.integers(-9, 9), min_size=deg, max_size=deg)
-        )
-        return field.element([rat(c, 1) for c in cs])
-
-    x, y, z = elem(), elem(), elem()
-    assert (x + y) + z == x + (y + z)
+    x, y, z = (draw_element(data, field) for _ in range(3))
+    q = data.draw(rationals_st)
+    xy_z, x_yz = (x + y) + z, x + (y + z)
+    xy_z_mul, x_yz_mul = (x * y) * z, x * (y * z)
+    left, right = x * (y + z), x * y + x * z
+    for value in (x + y, x - y, x * y, x * q, q - x, -x, xy_z, x_yz,
+                  xy_z_mul, x_yz_mul, left, right, x - x, x * 0):
+        assert_canonical(value)
+    assert xy_z == x_yz
     assert x + y == y + x
-    assert (x * y) * z == x * (y * z)
+    assert xy_z_mul == x_yz_mul
     assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
+    assert left == right
     assert x + field.zero == x
     assert x * field.one == x
-    assert x - x == field.zero
+    assert x - x == field.zero == x * 0
+    # rational operations agree coordinate by coordinate with Fractions
+    assert (x + y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
+    assert (x - y).coords == tuple(a - b for a, b in zip(x.coords, y.coords))
+    assert (x * q).coords == tuple(a * q for a in x.coords)
+    assert (q * x) == (x * q)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 4, 5, 6, 8, 12]), st.data())
 def test_inverse_property(r, data):
     field = CyclotomicField.get(r)
-    deg = field.degree
-    cs = data.draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
-    x = field.element([rat(c, 1) for c in cs])
+    x = draw_element(data, field)
     if x.is_zero:
         with pytest.raises(ZeroInverse):
             x.inverse()
     else:
-        assert x * x.inverse() == field.one
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert x * inv == field.one
+        assert inv.inverse() == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 12]), st.data())
+def test_hash_agrees_with_equality(r, data):
+    field = CyclotomicField.get(r)
+    x, y = draw_element(data, field), draw_element(data, field)
+    # the same value reached by two routes is one dict key
+    assert (x + y) - y == x
+    assert hash((x + y) - y) == hash(x)
+    assert hash(x * 2 * rat(1, 2)) == hash(x)
+    c = data.draw(rationals_st)
+    assert field.constant(c) == c
+    assert hash(field.constant(c) + x - x) == hash(field.constant(c))
+
+
+@pytest.mark.parametrize("r", [5, 12, 60])
+def test_field_product_matches_fraction_kernel(r):
+    # the element product runs cyclo_mul on integer numerators; the same
+    # kernel on Fraction coordinates is the oracle
+    field = CyclotomicField.get(r)
+    rng = random.Random(r)
+    for _ in range(20):
+        xs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                   for _ in range(field.degree))
+        ys = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                   for _ in range(field.degree))
+        got = field.element(xs) * field.element(ys)
+        want = _kernels_py.cyclo_mul(xs, ys, field.reduction_rows)
+        assert_canonical(got)
+        assert got.coords == tuple(want)
+
+
+def test_canonical_form_of_special_elements():
+    field = CyclotomicField.get(12)
+    for x in (field.zero, field.one, field.root(5), field.constant(rat(-4, 6)),
+              field.constant(rat(3, 9)) * 3 - 1):
+        assert_canonical(x)
+    assert field.constant(rat(-4, 6)).num == (-2, 0, 0, 0)
+    assert field.constant(rat(-4, 6)).den == 3
+    assert (field.constant(rat(3, 9)) * 3 - 1).den == 1
 
 
 def test_root_powers_cycle():
@@ -174,6 +244,17 @@ def test_float_coefficients_are_refused():
         x + 0.5
     with pytest.raises(TypeError):
         x * 1.5
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, 1j, complex(1, 0)])
+def test_constructors_refuse_float_and_complex(bad):
+    field = CyclotomicField.get(4)
+    with pytest.raises(TypeError):
+        field.element([bad, rat(1, 1)])
+    with pytest.raises(TypeError):
+        field.element([rat(1, 1), bad])
+    with pytest.raises(TypeError):
+        field.constant(bad)
 
 
 def test_str_rendering():

@@ -83,6 +83,19 @@ def test_oracle_agreement_on_random_instances():
             assert got == want, (inst.canonical_text(), k)
 
 
+def test_oracle_agreement_on_wider_twist_orders():
+    # phi(r) in {4, 6}: field products the {2, 3, 4, 6} corpora never reach
+    orders = (5, 7, 8, 9, 12)
+    corpus = oracle_corpus(4405, 40, orders=orders)
+    assert {inst.mus.order for inst in corpus} == set(orders)
+    for inst in corpus:
+        session = ValueCache()
+        for k in itertools.product(range(4), repeat=inst.nfactors):
+            got = special_value(inst, k, cache=session)
+            want = closed_value(inst.Q, inst.Ps, k, inst.mus)
+            assert got == want, (inst.canonical_text(), k)
+
+
 def test_linearity_in_q():
     rng = random.Random(17)
     from _support import random_polynomial, random_twists
