@@ -54,7 +54,6 @@ def closed_value(
             f"{Q.nvars} variables against {len(mus)} twists"
         )
     E = expand_numerator(Q, Ps, k)
-    total = mus.zero_scalar()
-    for alpha, coef in E.sorted_terms():
-        total = total + mus.scale(monomial_sum(alpha, mus), coef)
-    return total
+    return mus.lincomb(
+        (monomial_sum(alpha, mus), coef) for alpha, coef in E.sorted_terms()
+    )

@@ -20,7 +20,7 @@ import operator
 
 from ._backend import kernels
 from ._rational import ONE, ZERO, Rational, format_rational
-from .errors import DimensionMismatch, FieldMismatch, ZeroInverse
+from .errors import DimensionMismatch, EngineError, FieldMismatch, ZeroInverse
 
 __all__ = [
     "CyclotomicElement",
@@ -159,6 +159,48 @@ class CyclotomicField:
     def constant(self, value) -> "CyclotomicElement":
         p, q = _ratio(_exact(value))
         return CyclotomicElement(self, (p,) + (0,) * (self.degree - 1), q)
+
+    def lincomb(self, pairs, den: int = 1) -> "CyclotomicElement":
+        """sum of x * c over (element, exact scalar) pairs, divided by the
+        positive int den.
+
+        The sum runs on integer numerators over a running common
+        denominator and is normalized once at the end, instead of one
+        scaling and one sum (each with its own gcd) per term.
+        """
+        order = self.order
+        acc = None
+        acc_den = 1
+        for x, c in pairs:
+            if x.field.order != order:
+                raise FieldMismatch(f"orders {order} and {x.field.order}")
+            if type(c) is int:
+                p, q = c, 1
+            else:
+                pq = _ratio(c)
+                if pq is None:
+                    raise TypeError(
+                        f"coefficients must be exact rationals, not "
+                        f"{type(c).__name__}"
+                    )
+                p, q = pq
+            if not p:
+                continue
+            xd = x.den * q
+            if acc is None:
+                acc = [y * p for y in x.num]
+                acc_den = xd
+            elif xd == acc_den:
+                acc = [s + y * p for s, y in zip(acc, x.num)]
+            else:
+                g = math.gcd(acc_den, xd)
+                sa = xd // g
+                p *= acc_den // g
+                acc = [s * sa + y * p for s, y in zip(acc, x.num)]
+                acc_den *= sa
+        if acc is None:
+            return self.zero
+        return _reduced(self, tuple(acc), acc_den * den)
 
     @property
     def zero(self) -> "CyclotomicElement":
@@ -392,13 +434,20 @@ class CyclotomicElement:
         return self.den == 1 and num[0] == 1 and not any(num[1:])
 
     def embed(self) -> complex:
-        """Numeric value at z = exp(2 pi i / r), in double precision."""
+        """Numeric value at z = exp(2 pi i / r), in double precision.
+
+        A coordinate beyond the double range raises EngineError."""
         # int / int is correctly rounded, the same double as float(p/q)
         z = self.field._root
         den = self.den
         acc = 0j
-        for c in reversed(self.num):
-            acc = acc * z + c / den
+        try:
+            for c in reversed(self.num):
+                acc = acc * z + c / den
+        except OverflowError:
+            raise EngineError(
+                "value exceeds the double range; no decimal form"
+            ) from None
         return acc
 
     def coords_text(self) -> str:

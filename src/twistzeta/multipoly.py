@@ -50,7 +50,7 @@ def _coerce(value):
 class SparsePolynomial:
     """Polynomial in nvars variables with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_text")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
@@ -79,6 +79,7 @@ class SparsePolynomial:
         self.nvars = nvars
         self.terms = table
         self._hash = None
+        self._text = None
 
     # Internal fast path: table already canonical, skip validation.
     @classmethod
@@ -87,6 +88,7 @@ class SparsePolynomial:
         p.nvars = nvars
         p.terms = table
         p._hash = None
+        p._text = None
         return p
 
     @classmethod
@@ -338,10 +340,10 @@ class SparsePolynomial:
 
         Each term prints every variable: 'c*X1^e1*...*XN^eN', terms in
         descending graded-lex order joined by ' + '; the zero polynomial
-        prints as '0'.
+        prints as '0'.  Computed once per polynomial.
         """
-        if not self.terms:
-            return "0"
+        if self._text is not None:
+            return self._text
         chunks = []
         for exps, coef in self.sorted_terms():
             vars_part = "*".join(
@@ -349,7 +351,8 @@ class SparsePolynomial:
             )
             body = format_rational(coef)
             chunks.append(f"{body}*{vars_part}" if vars_part else body)
-        return " + ".join(chunks)
+        self._text = " + ".join(chunks) if chunks else "0"
+        return self._text
 
     def __eq__(self, other):
         if not isinstance(other, SparsePolynomial):

@@ -191,6 +191,23 @@ class TwistVector:
             return s * q
         return s * float(q)
 
+    def lincomb(self, pairs: Iterable, den: int = 1) -> Scalar:
+        """sum of s * c / den over (Scalar, exact rational) pairs.
+
+        Exact mode normalizes once (CyclotomicField.lincomb); approx mode
+        scales term by term in pair order, the same doubles as a loop of
+        scale() and + starting from zero."""
+        if self.mode == "exact":
+            return CyclotomicField.get(self.order).lincomb(pairs, den)
+        acc = 0j
+        if den == 1:
+            for s, c in pairs:
+                acc = acc + s * float(c)
+        else:
+            for s, c in pairs:
+                acc = acc + s * float(c / den)
+        return acc
+
     def canonical_text(self) -> str:
         if self.mode == "exact":
             es = ",".join(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 from twistzeta.cli import main
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 HARMONIC = str(PROBLEMS / "alternating_harmonic.json")
 LINEAR = str(PROBLEMS / "alternating_linear.json")
 QUADRATIC = str(PROBLEMS / "cor2_quadratic.json")
@@ -218,6 +220,29 @@ def test_all_ones_shift_can_be_invalid(capsys):
     assert rc == 2
 
 
+APPROX_SHIFT_GOLDEN = json.loads(
+    (ROOT / "tests" / "data" / "approx_shift_golden.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    APPROX_SHIFT_GOLDEN,
+    ids=lambda c: " ".join(c["argv"][:2] + c["argv"][-2:]),
+)
+def test_approx_shift_output_is_pinned(capsys, case):
+    # approx --shift output pinned byte for byte, every double down to its
+    # last bit: any change in the order or grouping of the floating-point
+    # sums of the shifted step shows here
+    argv = [str(ROOT / a) if a.startswith("problems/") else a
+            for a in case["argv"]]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert out == case["stdout"]
+
+
 def test_cache_file_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     rc, first, _ = run_cli(capsys, "table", HARMONIC, "--max", "4",
@@ -290,3 +315,18 @@ def test_console_script_end_to_end(tmp_path):
     )
     assert fault.returncode == 3
     assert "counterexample" in fault.stdout
+
+
+def test_value_beyond_double_range_exits_4():
+    # the exact value at k = 301 has coordinates above 1.8e308: no decimal
+    # form exists, which is an engine error, not a crash
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistzeta.cli", "value", HARMONIC, "301",
+         "--method", "recurrence"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("engine error: ")
+    assert "Traceback" not in proc.stderr

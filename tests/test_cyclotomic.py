@@ -281,3 +281,53 @@ def test_alias_operations():
     assert elem_mul(z, z) == z ** 2
     assert elem_pow(z, 3) == field.one
     assert elem_inv(z) == z ** 2
+
+
+coefficients_st = st.one_of(st.integers(-6, 6), rationals_st)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 5, 12]), st.data())
+def test_lincomb_matches_sequential_scale_and_sum(r, data):
+    field = CyclotomicField.get(r)
+    n = data.draw(st.integers(0, 6))
+    xs = [draw_element(data, field) for _ in range(n)]
+    cs = [data.draw(coefficients_st) for _ in range(n)]
+    den = data.draw(st.integers(1, 12))
+    want = field.zero
+    for x, c in zip(xs, cs):
+        want = want + x * c
+    want = want * rat(1, den)
+    got = field.lincomb(zip(xs, cs), den)
+    assert_canonical(got)
+    assert got == want
+    assert got.coords == want.coords
+
+
+@pytest.mark.parametrize("r", [2, 5, 12])
+def test_lincomb_edge_cases(r):
+    field = CyclotomicField.get(r)
+    x = field.root(1) + rat(2, 3)
+    y = field.root(r - 1) * rat(-5, 4)
+    cases = [
+        ([], 1, field.zero),
+        ([], 7, field.zero),
+        ([(x, 0), (y, rat(0, 5))], 3, field.zero),
+        ([(field.zero, 4), (field.zero, rat(1, 3))], 2, field.zero),
+        ([(x, 1), (x, -1)], 5, field.zero),
+        ([(x, 3), (y, rat(1, 6)), (x, rat(-7, 2))], 4,
+         (x * 3 + y * rat(1, 6) + x * rat(-7, 2)) * rat(1, 4)),
+        ([(y, 2)], 1, y * 2),
+    ]
+    for pairs, den, want in cases:
+        got = field.lincomb(pairs, den)
+        assert_canonical(got)
+        assert got == want
+
+
+def test_lincomb_refuses_other_fields_and_floats():
+    field = CyclotomicField.get(5)
+    with pytest.raises(FieldMismatch):
+        field.lincomb([(CyclotomicField.get(4).one, 1)])
+    with pytest.raises(TypeError):
+        field.lincomb([(field.one, 0.5)])

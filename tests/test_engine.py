@@ -7,7 +7,12 @@ cases.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -42,11 +47,14 @@ from twistzeta.multipoly import SparsePolynomial
 
 from _support import (
     box_partition_holds,
+    ks_up_to,
     oracle_corpus,
     random_instance,
     random_valid_shift,
     term_value,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _alt_1d():
@@ -147,6 +155,49 @@ def test_explicit_shift_skips_top_level_cache():
     # default policy returns the stored entry, an explicit shift recomputes
     assert special_value(inst, (2,), cache=session) == poisoned
     assert special_value(inst, (2,), shift=(3,), cache=session) == v
+
+
+def _shift_policies(rng, mus):
+    policies = ["default"]
+    try:
+        choose_shift(mus, "all-ones")
+        policies.append("all-ones")
+    except MuPowerIsOne:
+        pass
+    for _ in range(2):
+        a = random_valid_shift(rng, mus)
+        if a not in policies:
+            policies.append(a)
+    return policies
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_one_session_equals_fresh_sessions_for_every_shift(mode):
+    # Per-shift plans, contexts and V tables live in the session; reusing
+    # them must give the very values a fresh session computes: exactly
+    # equal elements, or bit-identical doubles in approx mode.
+    rng = random.Random(5505)
+    for inst in oracle_corpus(5505, 12):
+        if mode == "approx":
+            inst = ZetaInstance(inst.Q, inst.Ps, inst.mus.to_approx())
+        policies = _shift_policies(rng, inst.mus)
+        session = ValueCache()
+        for k in ks_up_to(inst.nfactors, 3):
+            for shift in policies:
+                got = special_value(inst, k, shift=shift, cache=session)
+                fresh = special_value(inst, k, shift=shift)
+                assert got == fresh, (inst.canonical_text(), k, shift)
+
+
+def test_key_text_memo_stays_out_of_eq_hash_repr():
+    a, b = _alt_1d(), _alt_1d()
+    text = a.canonical_text()
+    assert a.canonical_text() is text
+    assert a.Q.canonical_text() is a.Q.canonical_text()
+    # a holds the memo and b does not; they still compare as one value
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.Q == b.Q and hash(a.Q) == hash(b.Q)
+    assert b.canonical_text() == text
 
 
 def test_index_forms_agree_with_fresh_sessions():
@@ -454,3 +505,36 @@ def test_point_terms_use_exact_factor_powers():
         (term_value(inst, (2,), (m,)) for m in (1, 2, 3)),
         mus.zero_scalar(),
     )
+
+
+def test_deep_k_needs_no_deep_stack():
+    # On a 120-frame stack the residual form still reaches k = 300 (the
+    # G(v) memo is built without recursion); the consumed form recurses
+    # once per unit of k and reports that as an EngineError.
+    script = textwrap.dedent(
+        """
+        import sys
+        from twistzeta import TwistVector, ZetaInstance, special_value
+        from twistzeta.closedform import closed_value
+        from twistzeta.errors import EngineError
+        from twistzeta.multipoly import SparsePolynomial
+
+        X = SparsePolynomial.variable(1, 1)
+        one = SparsePolynomial.one(1)
+        inst = ZetaInstance(one, (X * 2 + one,), TwistVector.exact(3, [1]))
+        want = closed_value(inst.Q, inst.Ps, (300,), inst.mus)
+        sys.setrecursionlimit(120)
+        assert special_value(inst, (300,)) == want
+        try:
+            special_value(inst, (300,), index_form="consumed")
+        except EngineError as exc:
+            print("consumed:", type(exc).__name__)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "consumed: EngineError"

@@ -163,3 +163,21 @@ def test_canonical_text_distinguishes_vectors():
 def test_negapolylog_cache_is_exposed():
     assert hasattr(negapolylog, "cache_clear")
     assert hasattr(eulerian_negapolylog, "cache_clear")
+
+
+def test_lincomb_dispatches_by_mode():
+    exact = TwistVector.exact(6, [1, 5])
+    approx = exact.to_approx()
+    coefs = [rat(3, 4), -2, rat(-1, 3)]
+    for mus, values in (
+        (exact, [exact.mu(1), exact.mu(2), exact.one_scalar()]),
+        (approx, [approx.mu(1), approx.mu(2), approx.mu(1) * 1e-17 + 0.3j]),
+    ):
+        for den in (1, 3):
+            # approx mode must give the very doubles of scale() and +
+            # applied in pair order
+            want = mus.zero_scalar()
+            for s, c in zip(values, coefs):
+                want = want + mus.scale(s, c * rat(1, den))
+            assert mus.lincomb(zip(values, coefs), den) == want
+        assert mus.lincomb([]) == mus.zero_scalar()
