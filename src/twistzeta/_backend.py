@@ -1,31 +1,11 @@
-"""Kernel backend selection.
+"""The kernel module under its historical name.
 
-The compiled extension twistzeta._kernels is used when it was built;
-otherwise the pure Python module twistzeta._kernels_py takes over.  The
-environment variable TWISTZETA_BACKEND forces a choice: 'py' selects the
-fallback, 'c' requires the extension and raises when it is missing.
+twistzeta._kernels_py is the only kernel implementation.  This alias
+stays because the benchmark tracer in perfbench/ wraps the functions of
+_backend.kernels and its environment fingerprint prints
+twistzeta.BACKEND.
 """
 
-from __future__ import annotations
+from . import _kernels_py as kernels
 
-import os
-
-_choice = os.environ.get("TWISTZETA_BACKEND", "auto")
-if _choice not in ("auto", "py", "c"):
-    raise RuntimeError("TWISTZETA_BACKEND must be one of: auto, py, c")
-
-if _choice == "py":
-    from . import _kernels_py as kernels
-
-    BACKEND = "py"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "c"
-    except ImportError:
-        if _choice == "c":
-            raise
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "py"
+BACKEND = "py"

@@ -1,13 +1,10 @@
-"""Pure Python kernels for the hot inner loops.
+"""The kernels of the hot inner loops, in pure Python.
 
-The compiled twin in _kernels.pyx implements the same four functions with
-identical semantics; _backend picks one at import time.  Coefficients are
-arbitrary exact numbers (int, Fraction, gmpy2.mpq), so the term loops stay
-object-typed even when compiled; the compiled win is loop and indexing
-overhead, plus native complex arithmetic in power_sums_box.
-
-Term tables are plain dicts {exponent tuple: nonzero coefficient}.  The
-functions never mutate their arguments.
+Coefficients are arbitrary exact numbers (int or Fraction): the engine
+passes integer numerators over a common denominator, SparsePolynomial
+passes Fractions.  Term tables are plain dicts {exponent tuple: nonzero
+coefficient}; power_sums_box works in complex doubles for the Abel
+check.  The functions never mutate their arguments.
 """
 
 from __future__ import annotations

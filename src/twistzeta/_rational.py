@@ -1,35 +1,11 @@
-"""Exact rational scalar type shared by every module.
-
-gmpy2.mpq is preferred because the recursion spends most of its time
-multiplying small rationals and mpq is several times faster than
-fractions.Fraction on that workload.  Fraction is the drop-in fallback;
-both expose .numerator / .denominator and hash equal values equally.
-Set TWISTZETA_RATIONAL=fraction (or =gmpy2) to force a choice.
-"""
+"""Exact rational scalar type shared by every module: fractions.Fraction."""
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
-_forced = os.environ.get("TWISTZETA_RATIONAL", "")
-if _forced not in ("", "gmpy2", "fraction"):
-    raise RuntimeError("TWISTZETA_RATIONAL must be 'gmpy2' or 'fraction'")
-
-if _forced == "fraction":
-    from fractions import Fraction as Rational
-
-    RATIONAL_BACKEND = "fraction"
-else:
-    try:
-        from gmpy2 import mpq as Rational
-
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:
-        if _forced == "gmpy2":
-            raise
-        from fractions import Fraction as Rational
-
-        RATIONAL_BACKEND = "fraction"
+Rational = Fraction
+RATIONAL_BACKEND = "fraction"
 
 ZERO = Rational(0)
 ONE = Rational(1)

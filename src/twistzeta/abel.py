@@ -23,6 +23,7 @@ from ._backend import kernels
 from .closedform import expand_numerator
 from .engine import ZetaInstance, _as_k
 from .errors import EngineError
+from .multipoly import SparsePolynomial
 
 __all__ = ["abel_estimate", "abel_richardson", "richardson"]
 
@@ -77,14 +78,21 @@ def abel_estimate(
     M = None sums each axis in closed form (the full lattice); a
     finite M sums the box [1, M]^N directly.
     """
+    E = expand_numerator(inst.Q, inst.Ps, _as_k(inst, k))
+    return _abel_sum(E, _embedded_twists(inst), x, M)
+
+
+def _abel_sum(
+    E: SparsePolynomial, twists: list[complex], x: float, M: int | None
+) -> complex:
+    """sum over the lattice of (x mu)^m E(m); abel_estimate's body, shared
+    with abel_richardson so that E is expanded once for every radius."""
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie strictly between 0 and 1")
-    k = _as_k(inst, k)
-    E = expand_numerator(inst.Q, inst.Ps, k)
     if E.is_zero:
         return 0j
-    ws = [x * mu for mu in _embedded_twists(inst)]
-    N = inst.nvars
+    ws = [x * mu for mu in twists]
+    N = E.nvars
     maxdeg = [0] * N
     for alpha in E.terms:
         for n, e in enumerate(alpha):
@@ -139,5 +147,6 @@ def abel_richardson(
     M: int | None = None,
 ) -> complex:
     """Richardson-extrapolated Abel estimate over x = 1 - 2^-j."""
-    values = [abel_estimate(inst, k, 1.0 - 2.0**-j, M) for j in js]
-    return richardson(values)
+    E = expand_numerator(inst.Q, inst.Ps, _as_k(inst, k))
+    twists = _embedded_twists(inst)
+    return richardson([_abel_sum(E, twists, 1.0 - 2.0**-j, M) for j in js])

@@ -13,7 +13,6 @@ independently computed routes.
 from __future__ import annotations
 
 import cmath
-import fractions
 import functools
 import math
 import operator
@@ -226,8 +225,7 @@ class CyclotomicField:
         return f"CyclotomicField({self.order})"
 
 
-_RATIONAL_TYPES = (fractions.Fraction, type(ONE))
-_EXACT_TYPES = (int,) + _RATIONAL_TYPES
+_EXACT_TYPES = (int, Rational)
 
 
 def _exact(c):
@@ -243,11 +241,8 @@ def _ratio(x):
     """(p, q) in lowest terms with q > 0 for an exact scalar, else None."""
     if isinstance(x, int):
         return int(x), 1
-    if isinstance(x, fractions.Fraction):
+    if isinstance(x, Rational):
         return x.numerator, x.denominator
-    if isinstance(x, _RATIONAL_TYPES):
-        # gmpy2.mpq: keep the stored numerators plain ints
-        return int(x.numerator), int(x.denominator)
     return None
 
 

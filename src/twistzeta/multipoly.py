@@ -11,7 +11,6 @@ serialized text form.
 
 from __future__ import annotations
 
-import fractions
 import math
 from typing import Iterable, Mapping
 
@@ -36,14 +35,9 @@ __all__ = [
 # total_degree of the zero polynomial; compares below every integer
 NEG_INF = float("-inf")
 
-_EXACT_TYPES = (int, type(ONE))
-
-
 def _coerce(value):
-    if isinstance(value, _EXACT_TYPES):
+    if isinstance(value, (int, Rational)):
         return Rational(value)
-    if isinstance(value, fractions.Fraction):
-        return Rational(value.numerator, value.denominator)
     raise TypeError(f"coefficients must be exact rationals, got {type(value)!r}")
 
 
@@ -285,7 +279,7 @@ class SparsePolynomial:
     def eval(self, point: Iterable) -> "Rational":
         """Exact evaluation at a point of rationals or ints."""
         point = [
-            x if isinstance(x, type(ONE)) else Rational(x) for x in point
+            x if isinstance(x, Rational) else Rational(x) for x in point
         ]
         if len(point) != self.nvars:
             raise DimensionMismatch("evaluation point length")

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from twistzeta import TwistVector, ZetaInstance
+from twistzeta import TwistVector, ZetaInstance, abel
 from twistzeta.abel import _li_neg, abel_estimate, abel_richardson, richardson
 from twistzeta.closedform import closed_value
 from twistzeta.engine import special_value
@@ -122,3 +122,24 @@ def test_box_mode_misses_the_limit_near_one():
     closed = abel_estimate(inst, (1,), x)
     boxed = abel_estimate(inst, (1,), x, 20000)
     assert abs(closed - boxed) > 1e-4
+
+
+def test_richardson_expands_the_numerator_once(monkeypatch):
+    mus = TwistVector.exact(4, [1, 3])
+    P = SparsePolynomial(2, {(1, 0): 1, (0, 1): 2, (0, 0): 1})
+    inst = ZetaInstance(SparsePolynomial.variable(2, 1), (P,), mus)
+    calls = []
+    expand = abel.expand_numerator
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(abel, "expand_numerator", counting)
+    js = (8, 9, 10, 11, 12)
+    got = abel_richardson(inst, (3,), js)
+    assert len(calls) == 1
+    # the shared summation gives the very doubles of per-radius estimates
+    assert got == richardson(
+        [abel_estimate(inst, (3,), 1.0 - 2.0**-j) for j in js]
+    )

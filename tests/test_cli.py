@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -189,6 +190,25 @@ def test_ill_conditioned_approx_exits_4(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "value", str(path), "0")
     assert rc == 4
     assert "engine error:" in err
+
+
+def test_shift_near_the_tolerance_is_skipped_not_fatal(tmp_path, capsys):
+    # mu_1 mu_2 = exp(5e-10 i): the all-ones shift and its multiples sit
+    # inside the conditioning tolerance, so verify must pick other shifts
+    # and an explicit all-ones shift is refused like one with mu^a = 1
+    doc = json.loads(Path(LINEAR).read_text())
+    doc["twist"] = {
+        "mode": "approx",
+        "angles": [1.0, 2 * math.pi - 1.0 + 5e-10],
+    }
+    path = tmp_path / "near_tolerance.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "verify", str(path))
+    assert rc == 0, out + err
+    assert "verify: PASS" in out
+    rc, _, err = run_cli(capsys, "value", str(path), "1", "--shift", "1,1")
+    assert rc == 2
+    assert "mu^(1, 1) equals 1" in err
 
 
 def test_approx_mode_drops_exact_coordinates(capsys):
