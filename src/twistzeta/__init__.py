@@ -18,12 +18,6 @@ from .cyclotomic import (
     CyclotomicElement,
     CyclotomicField,
     cyclotomic_polynomial,
-    elem_add,
-    elem_inv,
-    elem_mul,
-    elem_pow,
-    embed,
-    root_of_unity,
 )
 from .document import ProblemDocument, ValueRecord
 from .engine import (
@@ -56,18 +50,7 @@ from .errors import (
     TwistZetaError,
     ZeroInverse,
 )
-from .multipoly import (
-    SparsePolynomial,
-    poly_add,
-    poly_delta,
-    poly_eval,
-    poly_mul,
-    poly_pow,
-    poly_restrict,
-    poly_shift,
-    depends_on,
-    total_degree,
-)
+from .multipoly import SparsePolynomial
 from .twists import (
     Twist,
     TwistVector,

@@ -25,12 +25,6 @@ __all__ = [
     "CyclotomicElement",
     "CyclotomicField",
     "cyclotomic_polynomial",
-    "elem_add",
-    "elem_inv",
-    "elem_mul",
-    "elem_pow",
-    "embed",
-    "root_of_unity",
 ]
 
 
@@ -530,31 +524,3 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
             for j, bj in enumerate(b):
                 a[i + j] -= c * bj
     return q, _poly_trim(a)
-
-
-# Operation-style aliases used by the tests and the docs.
-
-
-def elem_add(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
-    return a + b
-
-
-def elem_mul(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
-    return a * b
-
-
-def elem_inv(a: CyclotomicElement) -> CyclotomicElement:
-    return a.inverse()
-
-
-def elem_pow(a: CyclotomicElement, n: int) -> CyclotomicElement:
-    return a**n
-
-
-def root_of_unity(r: int, e: int) -> CyclotomicElement:
-    """zeta_r^e as an element of Q(zeta_r)."""
-    return CyclotomicField.get(r).root(e)
-
-
-def embed(a: CyclotomicElement) -> complex:
-    return a.embed()

@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from ._backend import kernels
 from ._rational import ONE, ZERO, Rational, format_rational
@@ -271,15 +271,36 @@ def _int_table(terms: Mapping) -> tuple[dict, int]:
     return table, den
 
 
-class _Context:
-    """Per-(P_1..P_T, mu, a) tables for the recursion.
+def _pick_shift(mus: TwistVector) -> tuple[int, ...]:
+    """The default shift: e_1 in exact mode, valid since mu_1 != 1, and
+    the first well conditioned one of e_1..e_N, all-ones in approx
+    mode."""
+    N = len(mus)
+    candidates = [
+        tuple(1 if i == n else 0 for i in range(N)) for n in range(N)
+    ]
+    if mus.mode == "exact":
+        return candidates[0]
+    candidates.append((1,) * N)
+    for a in candidates:
+        if not _scalar_is_one(mus, mu_power(mus, a)):
+            return a
+    raise ApproxIllConditioned(
+        f"every candidate shift has mu^a within {_APPROX_SHIFT_TOL:g} of 1"
+    )
 
-    The default context picks its shift: e_1 in exact mode (valid since
-    mu_1 != 1), the first well conditioned candidate from e_1..e_N,
-    all-ones in approx mode.  An explicit shift is only checked for
-    conditioning.  Values of monomial numerators are memoized as
-    V[(alpha, k)]; everything else here is derived data shared by those
-    computations.  Term tables are integer pairs ({exps: int}, den).
+
+class _Context:
+    """Everything in one step of the relation for (P_1..P_T, mu, a) that
+    depends neither on k nor on the numerator.
+
+    That is mu^a, 1/(1 - mu^a), the differences Delta_a P_t, the
+    products G(v), and the boundary pieces: the restricted pieces, each
+    with the default context of its sub-series, and the points.  The
+    context also holds V[(alpha, k)], the values of monomial numerators,
+    and steps, the step data of every numerator it has met, keyed by
+    alpha for X^alpha and by the canonical text of an explicit top-level
+    Q.  Term tables are integer pairs ({exps: int}, den).
     """
 
     __slots__ = (
@@ -293,55 +314,33 @@ class _Context:
         "zero",
         "deltas",
         "V",
+        "steps",
+        "restricted",
+        "points",
         "_g",
-        "_shifted",
-        "_prod",
-        "_pieces",
     )
 
     def __init__(
         self,
         Ps: tuple[SparsePolynomial, ...],
         mus: TwistVector,
-        a: tuple[int, ...] | None = None,
+        a: tuple[int, ...],
+        mu_a: Scalar,
+        inv1ma: Scalar,
     ):
         self.Ps = Ps
         self.mus = mus
         self.N = len(mus)
         self.T = len(Ps)
-        if a is None:
-            self.a, self.mu_a = self._pick_shift(mus)
-        else:
-            self.a, self.mu_a = a, mu_power(mus, a)
-            if _scalar_is_one(mus, self.mu_a):
-                raise ApproxIllConditioned(
-                    f"|1 - mu^a| below {_APPROX_SHIFT_TOL:g} for shift {a}"
-                )
-        diff = mus.one_scalar() - self.mu_a
-        self.inv1ma = diff.inverse() if mus.mode == "exact" else 1.0 / diff
+        self.a, self.mu_a, self.inv1ma = a, mu_a, inv1ma
         self.zero = mus.zero_scalar()
-        self.deltas = tuple(_int_table(P.delta(self.a).terms) for P in Ps)
+        self.deltas = tuple(_int_table(P.delta(a).terms) for P in Ps)
         self.V: dict = {}
+        self.steps: dict = {}
+        # the boundary pieces, built with the first step data
+        self.restricted = None
+        self.points = None
         self._g = {(0,) * self.T: ({(0,) * self.N: 1}, 1)}
-        self._shifted: dict = {}
-        self._prod: dict = {}
-        self._pieces = None
-
-    @staticmethod
-    def _pick_shift(mus: TwistVector) -> tuple[tuple[int, ...], Scalar]:
-        N = len(mus)
-        candidates = [
-            tuple(1 if i == n else 0 for i in range(N)) for n in range(N)
-        ]
-        candidates.append((1,) * N)
-        for a in candidates:
-            s = mu_power(mus, a)
-            if not _scalar_is_one(mus, s):
-                return a, s
-        raise ApproxIllConditioned(
-            f"every candidate shift has mu^a within {_APPROX_SHIFT_TOL:g}"
-            " of 1"
-        )
 
     def G(self, v: tuple[int, ...]) -> tuple[dict, int]:
         """prod_t (Delta_a P_t)^(v_t) as ({exps: int}, den).
@@ -363,115 +362,84 @@ class _Context:
             memo[v] = (nums, den)
         return nums, den
 
-    def shifted(self, alpha: tuple[int, ...]) -> dict:
-        """Integer term table of (X + a)^alpha."""
-        hit = self._shifted.get(alpha)
-        if hit is None:
-            hit = kernels.shift_terms({alpha: 1}, self.a)
-            self._shifted[alpha] = hit
-        return hit
 
-    def prod(self, alpha: tuple[int, ...], v: tuple[int, ...]):
-        """(X + a)^alpha * G(v) as ({exps: int}, den)."""
-        key = (alpha, v)
-        hit = self._prod.get(key)
+class _Step:
+    """The part of one step that a numerator N adds to its context, all
+    independent of k: N(X+a), its products with G(v), Delta_a N, its
+    table on each restricted piece and its value at each point."""
+
+    __slots__ = ("shifted", "delta", "restricted", "at_points", "_prod")
+
+    def __init__(self, ctx: _Context, numerator: SparsePolynomial):
+        nums, den = _int_table(numerator.terms)
+        shifted = kernels.shift_terms(nums, ctx.a)
+        # N(X+a) - N(X) in the term order of SparsePolynomial subtraction,
+        # which fixes the order of the approx-mode sums
+        delta = {}
+        for e, c in shifted.items():
+            old = nums.get(e)
+            if old is None:
+                delta[e] = c
+            elif c != old:
+                delta[e] = c - old
+        for e, c in nums.items():
+            if e not in shifted:
+                delta[e] = -c
+        self.shifted = (shifted, den)
+        self.delta = (delta, den)
+        self.restricted = [
+            _int_table(
+                numerator.restrict(ctx.a, piece.kept, dict(piece.fixed)).terms
+            )
+            for piece, _ in ctx.restricted
+        ]
+        self.at_points = [numerator.eval(point.b) for point in ctx.points]
+        self._prod: dict = {}
+
+    def prod(self, ctx: _Context, v: tuple[int, ...]) -> tuple[dict, int]:
+        """N(X+a) * G(v) as ({exps: int}, den), for the context ctx that
+        holds this step data."""
+        hit = self._prod.get(v)
         if hit is None:
-            gnums, gden = self.G(v)
+            gnums, gden = ctx.G(v)
             if not gnums:
                 hit = ({}, 1)
             elif not any(v):
-                hit = (self.shifted(alpha), 1)
+                hit = self.shifted
             else:
-                hit = (kernels.mul_terms(self.shifted(alpha), gnums), gden)
-            self._prod[key] = hit
+                nums, den = self.shifted
+                hit = (kernels.mul_terms(nums, gnums), den * gden)
+            self._prod[v] = hit
         return hit
 
 
 class _Point:
-    """A boundary lattice point b with mu^b, Q(b) and every P_t(b)
-    evaluated once; term(k) is mu^b Q(b) prod_t P_t(b)^(k_t)."""
+    """A boundary lattice point b with mu^b and every P_t(b) evaluated
+    once; term(k, nb) is mu^b nb prod_t P_t(b)^(k_t), nb the numerator's
+    value at b."""
 
-    __slots__ = ("b", "mus", "mu_b", "qb", "pvals", "_pows")
+    __slots__ = ("b", "mus", "mu_b", "pvals", "_pows")
 
-    def __init__(self, inst: ZetaInstance, b: tuple[int, ...]):
-        self.pvals = tuple(P.eval(b) for P in inst.Ps)
+    def __init__(self, Ps, mus: TwistVector, b: tuple[int, ...]):
+        self.pvals = tuple(P.eval(b) for P in Ps)
         for t, val in enumerate(self.pvals, start=1):
             if not val:
                 raise EngineError(f"P_{t} vanishes at boundary point {b}")
         self.b = b
-        self.mus = inst.mus
-        self.mu_b = mu_power(inst.mus, b)
-        self.qb = inst.Q.eval(b)
+        self.mus = mus
+        self.mu_b = mu_power(mus, b)
         self._pows: dict = {}
 
-    def term(self, k: tuple[int, ...], mono: int = 1) -> Scalar:
-        """The point's summand at -k, times the integer mono."""
-        q = self._pows.get(k)
-        if q is None:
-            q = self.qb
+    def term(self, k: tuple[int, ...], nb) -> Scalar:
+        """The point's summand at -k for a numerator worth nb at b."""
+        pw = self._pows.get(k)
+        if pw is None:
+            pw = ONE
             for val, kt in zip(self.pvals, k):
                 if kt:
-                    q = q * val**kt
-            self._pows[k] = q
-        return self.mus.scale(self.mu_b, q * mono if mono != 1 else q)
-
-
-def _split_boundary(inst: ZetaInstance, a: tuple[int, ...]):
-    """boundary_decompose(inst, a) as (restricted pieces, points), each
-    list in decomposition order."""
-    restricted, points = [], []
-    for piece in boundary_decompose(inst, a):
-        if isinstance(piece, Restricted):
-            restricted.append(piece)
-        else:
-            points.append(_Point(inst, piece.point))
-    return restricted, points
-
-
-class _Plan:
-    """One step of the relation for a fixed (instance, shift a): every
-    part that does not depend on k.  That is the shift's context (mu^a,
-    1/(1 - mu^a), Delta_a P_t and the G memo), Q(X+a) and its products
-    with G(v), Delta_a Q, and the boundary pieces."""
-
-    __slots__ = (
-        "ctx",
-        "shifted_q",
-        "delta_q",
-        "restricted",
-        "points",
-        "_prod",
-    )
-
-    def __init__(self, session: "ValueCache", inst: ZetaInstance, a):
-        self.ctx = session.context(inst.Ps, inst.mus, a)
-        shifted = inst.Q.shift(a)
-        self.shifted_q = _int_table(shifted.terms)
-        self.delta_q = _int_table((shifted - inst.Q).terms)
-        self.restricted, self.points = _split_boundary(inst, a)
-        self._prod: dict = {}
-
-    def prod(self, v: tuple[int, ...]):
-        """Q(X+a) * G(v) as ({exps: int}, den)."""
-        hit = self._prod.get(v)
-        if hit is None:
-            gnums, gden = self.ctx.G(v)
-            qnums, qden = self.shifted_q
-            if gnums:
-                hit = (kernels.mul_terms(qnums, gnums), qden * gden)
-            else:
-                hit = ({}, 1)
-            self._prod[v] = hit
-        return hit
-
-    def boundary(self, session: "ValueCache", k, total: Scalar) -> Scalar:
-        """total plus the boundary part of the relation at -k."""
-        for piece in self.restricted:
-            sval = special_value(piece.sub, k, cache=session)
-            total = total + piece.prefactor * sval
-        for point in self.points:
-            total = total + point.term(k)
-        return total
+                    pw = pw * val**kt
+            self._pows[k] = pw
+        return self.mus.scale(self.mu_b, pw if nb == 1 else nb * pw)
 
 
 class ValueCache:
@@ -479,8 +447,8 @@ class ValueCache:
 
     The public mapping .values sends the canonical text key of
     (instance, k) to the finished Scalar; lookups never change results
-    against recomputation.  Internal per-context tables and per-shift
-    plans make repeated queries against one instance cheap.  One session
+    against recomputation.  Internal per-context tables make repeated
+    queries against one instance cheap, along every shift.  One session
     is bound to one index convention for the u-sum so that comparing the
     two conventions across sessions stays meaningful.
     """
@@ -491,35 +459,80 @@ class ValueCache:
         self.index_form = index_form
         self.values: dict = {}
         self._contexts: dict = {}
-        self._plans: dict = {}
+        self._shifts: dict = {}
 
     @staticmethod
     def value_key(inst: ZetaInstance, k: tuple[int, ...]) -> str:
         ks = ",".join(str(x) for x in k)
         return f"{inst.canonical_text()};k={ks}"
 
+    def _shift(self, mus: TwistVector, text: str, a: tuple | None):
+        """(a, mu^a, 1/(1 - mu^a)) for the twists mus with canonical text
+        text, a None resolved to the default pick; built once per
+        (twists, shift) in the session."""
+        key = (text, a)
+        hit = self._shifts.get(key)
+        if hit is None:
+            if a is None:
+                hit = self._shift(mus, text, _pick_shift(mus))
+            else:
+                mu_a = mu_power(mus, a)
+                if _scalar_is_one(mus, mu_a):
+                    raise ApproxIllConditioned(
+                        f"|1 - mu^a| below {_APPROX_SHIFT_TOL:g} for shift {a}"
+                    )
+                diff = mus.one_scalar() - mu_a
+                inv = diff.inverse() if mus.mode == "exact" else 1.0 / diff
+                hit = (a, mu_a, inv)
+            self._shifts[key] = hit
+        return hit
+
     def context(
         self, Ps: tuple, mus: TwistVector, a: tuple[int, ...] | None = None
     ) -> _Context:
         """The context of (Ps, mus) for shift a; None is the default
-        shift."""
-        key = (mus.canonical_text(), a) + tuple(
-            P.canonical_text() for P in Ps
-        )
+        pick, which shares the context of the same explicit shift."""
+        text = mus.canonical_text()
+        a, mu_a, inv1ma = self._shift(mus, text, a)
+        key = (text, a) + tuple(P.canonical_text() for P in Ps)
         ctx = self._contexts.get(key)
         if ctx is None:
-            ctx = _Context(Ps, mus, a)
+            ctx = _Context(Ps, mus, a, mu_a, inv1ma)
             self._contexts[key] = ctx
         return ctx
 
-    def plan(self, inst: ZetaInstance, a: tuple[int, ...]) -> _Plan:
-        """The k-independent part of one step of (inst, a)."""
-        key = (inst.canonical_text(), a)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = _Plan(self, inst, a)
-            self._plans[key] = plan
-        return plan
+    def _step_data(self, ctx: _Context, key, numerator=None) -> _Step:
+        """The step data in ctx of X^key for an exponent tuple key, or of
+        numerator under its canonical text key; the first step data of a
+        context also builds its boundary pieces."""
+        data = ctx.steps.get(key)
+        if data is None:
+            if ctx.points is None:
+                one = SparsePolynomial.one(ctx.N)
+                pieces = boundary_decompose(
+                    ZetaInstance(one, ctx.Ps, ctx.mus), ctx.a
+                )
+                ctx.points = [
+                    _Point(ctx.Ps, ctx.mus, piece.point)
+                    for piece in pieces
+                    if isinstance(piece, PointTerm)
+                ]
+                ctx.restricted = [
+                    (piece, self.context(piece.sub.Ps, piece.sub.mus))
+                    for piece in pieces
+                    if isinstance(piece, Restricted)
+                ]
+            if numerator is None:
+                numerator = SparsePolynomial._raw(ctx.N, {key: ONE})
+            data = _Step(ctx, numerator)
+            ctx.steps[key] = data
+        return data
+
+    def _value_in(self, inst: ZetaInstance, k, a=None) -> Scalar:
+        """Z(Q; -k) over the V table of the context of shift a (None is
+        the default pick)."""
+        ctx = self.context(inst.Ps, inst.mus, a)
+        return self._resolve(ctx, *_int_table(inst.Q.terms), k, None)
 
     # recursion ------------------------------------------------------
 
@@ -548,33 +561,24 @@ class ValueCache:
                 w = math.prod(map(math.comb, k, v))
                 yield u, v, w
 
-    def _pieces(self, ctx: _Context):
-        """Boundary strata of the context's shift for monomial
-        numerators: (restricted piece, its context, monomial cache)
-        entries and the points."""
-        if ctx._pieces is None:
-            inst = ZetaInstance(SparsePolynomial.one(ctx.N), ctx.Ps, ctx.mus)
-            restricted, points = _split_boundary(inst, ctx.a)
-            ctx._pieces = (
-                [
-                    (piece, self.context(piece.sub.Ps, piece.sub.mus), {})
-                    for piece in restricted
-                ],
-                points,
-            )
-        return ctx._pieces
-
-    @staticmethod
-    def _restrict_monomial(
-        piece: Restricted, cache: dict, alpha: tuple[int, ...], av
-    ):
-        hit = cache.get(alpha)
-        if hit is None:
-            mono = SparsePolynomial._raw(len(alpha), {alpha: ONE})
-            restricted = mono.restrict(av, piece.kept, dict(piece.fixed))
-            hit = _int_table(restricted.terms)
-            cache[alpha] = hit
-        return hit
+    def _step(self, ctx: _Context, data: _Step, k, inner: _Context, parent):
+        """One application of the relation: Z(N; -k) from the step data
+        of N in ctx.  The u-sum and Delta_a N resolve in inner (ctx
+        itself, or the default context under an explicit top-level
+        shift), each restricted piece in its sub-series' context."""
+        groups = [
+            (data.prod(ctx, v), u, w) for u, v, w in self._index_terms(k)
+        ]
+        groups.append((data.delta, k, None))
+        total = ctx.mu_a * self._combine(inner, groups, parent)
+        for (piece, sub_ctx), (nums, den) in zip(
+            ctx.restricted, data.restricted
+        ):
+            sval = self._resolve(sub_ctx, nums, den, k, parent)
+            total = total + piece.prefactor * sval
+        for point, nb in zip(ctx.points, data.at_points):
+            total = total + point.term(k, nb)
+        return ctx.inv1ma * total
 
     def _V(self, ctx: _Context, alpha, k, parent=None) -> Scalar:
         if __debug__ and parent is not None:
@@ -585,27 +589,8 @@ class ValueCache:
         hit = ctx.V.get(key)
         if hit is not None:
             return hit
-        me = (ctx.N, sum(k), sum(alpha))
-        groups = [
-            (ctx.prod(alpha, v), u, w) for u, v, w in self._index_terms(k)
-        ]
-        shifted = ctx.shifted(alpha)
-        if len(shifted) > 1:
-            dterms = {e: c for e, c in shifted.items() if e != alpha}
-            groups.append(((dterms, 1), k, None))
-        total = ctx.mu_a * self._combine(ctx, groups, me)
-        restricted, points = self._pieces(ctx)
-        for piece, sub_ctx, rcache in restricted:
-            nums, den = self._restrict_monomial(piece, rcache, alpha, ctx.a)
-            sval = self._resolve(sub_ctx, nums, den, k, me)
-            total = total + piece.prefactor * sval
-        for point in points:
-            mono = 1
-            for x, e in zip(point.b, alpha):
-                if e:
-                    mono *= x**e
-            total = total + point.term(k, mono)
-        value = ctx.inv1ma * total
+        data = self._step_data(ctx, alpha)
+        value = self._step(ctx, data, k, ctx, (ctx.N, sum(k), sum(alpha)))
         ctx.V[key] = value
         return value
 
@@ -694,13 +679,17 @@ def special_value(
 ) -> Scalar:
     """Z(Q; P_1..P_T; mu; -k) by the shift-and-difference recurrence.
 
-    shift 'default' uses the engine's internal choice (e_1 in exact
-    mode).  'all-ones' or an explicit vector applies one step of the
-    relation with that shift at the top level, all inner values coming
-    from the default engine; the result must not depend on the shift,
-    which the test suite checks.  Explicit shifts skip the cache lookup
-    for the top-level key so repeated calls genuinely recompute; the
-    k-independent part of the step is built once per session.
+    shift 'default' resolves Q over the V table of the engine's default
+    context (shift e_1 in exact mode).  'all-ones' or an explicit vector
+    applies the same step of the relation to Q itself in the context of
+    that shift, all inner values coming from the default context; the
+    result must not depend on the shift, which the test suite checks.
+    Explicit shifts skip the cache lookup for the top-level key so
+    repeated calls genuinely recompute, and never replace a stored
+    value: in exact mode the result is stored only under a free key, in
+    approx mode (where it differs from the default in the last bits) not
+    at all.  Everything in the step that does not depend on k is built
+    once per session.
     """
     k = _as_k(inst, k)
     session = _session(cache, index_form)
@@ -711,19 +700,16 @@ def special_value(
         hit = session.values.get(key)
         if hit is not None:
             return hit
-        ctx = session.context(inst.Ps, inst.mus)
-        value = session._resolve(ctx, *_int_table(inst.Q.terms), k, None)
+        value = session._value_in(inst, k)
         session.values[key] = value
         return value
 
-    plan = session.plan(inst, choose_shift(inst.mus, shift).a)
-    ctx = session.context(inst.Ps, inst.mus)
-    groups = [(plan.prod(v), u, w) for u, v, w in session._index_terms(k)]
-    groups.append((plan.delta_q, k, None))
-    acc = session._combine(ctx, groups, None)
-    step = plan.ctx
-    value = step.inv1ma * plan.boundary(session, k, step.mu_a * acc)
-    session.values[key] = value
+    step = session.context(inst.Ps, inst.mus, choose_shift(inst.mus, shift).a)
+    data = session._step_data(step, inst.Q.canonical_text(), inst.Q)
+    inner = session.context(inst.Ps, inst.mus)
+    value = session._step(step, data, k, inner, None)
+    if inst.mus.mode == "exact":
+        session.values.setdefault(key, value)
     return value
 
 
@@ -731,46 +717,6 @@ def special_value(
 
 
 @_depth_guarded
-def _scalar_delta_value(
-    inst: ZetaInstance,
-    deltas: Sequence,
-    k: tuple[int, ...],
-    a: ShiftVector,
-    session: ValueCache,
-) -> Scalar:
-    """Shared scalar-difference recurrence.
-
-    When every Delta_a P_t is the constant delta_t and Q = 1, the u-sum
-    collapses to scalar weights delta^(k-u) C(k,u) against the same
-    instance at smaller arguments; only the boundary needs the general
-    engine.
-    """
-    mus = inst.mus
-    plan = session.plan(inst, a.a)
-    step = plan.ctx
-    memo: dict = {}
-
-    def rec(kk: tuple[int, ...]) -> Scalar:
-        hit = memo.get(kk)
-        if hit is not None:
-            return hit
-        acc = mus.zero_scalar()
-        for u, v, w in session._index_terms(kk):
-            dpow = ONE
-            for d, e in zip(deltas, v):
-                if e:
-                    dpow = dpow * d**e
-            coef = dpow * w
-            if coef:
-                acc = acc + mus.scale(rec(u), coef)
-        bound = plan.boundary(session, kk, mus.zero_scalar())
-        value = step.inv1ma * (step.mu_a * acc + bound)
-        memo[kk] = value
-        return value
-
-    return rec(k)
-
-
 def linear_special_value(
     inst: ZetaInstance,
     k: Sequence[int],
@@ -782,9 +728,11 @@ def linear_special_value(
     """Fast path for Q = 1 and linear forms L_t with positive
     coefficients, each variable occurring in some L_t.
 
-    Here Delta_a L_t = L_t(a) is the scalar delta_t, so the relation
-    recurses on k alone; boundary strata still go through the general
-    engine.
+    Here Delta_a L_t = L_t(a) is a constant, so resolving Q in the
+    context of the shift a holds that shift at every level, and the
+    u-sum collapses to scalar weights against the same numerator at
+    smaller k: the scalar recursion of the linear case.  Boundary strata
+    go through the default engine.
     """
     k = _as_k(inst, k)
     if not (inst.Q.is_constant and inst.Q.constant_value() == ONE):
@@ -800,9 +748,7 @@ def linear_special_value(
                 f"no linear factor depends on X{n}"
             )
     shift = choose_shift(inst.mus, a)
-    deltas = tuple(P.eval(shift.a) for P in inst.Ps)
-    session = _session(cache, index_form)
-    return _scalar_delta_value(inst, deltas, k, shift, session)
+    return _session(cache, index_form)._value_in(inst, k, shift.a)
 
 
 @dataclass(frozen=True)
@@ -876,6 +822,7 @@ def quadratic_delta(
     return delta
 
 
+@_depth_guarded
 def quadratic_special_value(
     Ps: Sequence[StructuredQuadratic],
     mus: TwistVector,
@@ -886,13 +833,17 @@ def quadratic_special_value(
     index_form: str | None = None,
 ) -> Scalar:
     """Value of Z(1; P_1..P_T; mu; -k) for structured quadratics along a
-    shift orthogonal to every square term."""
+    shift orthogonal to every square term.
+
+    quadratic_delta checks the orthogonality; then every Delta_a P_t is
+    a constant and Q = 1 resolves in the context of the shift a, as in
+    linear_special_value."""
     expanded = tuple(P.expand() for P in Ps)
     inst = ZetaInstance(
         SparsePolynomial.one(len(mus)), expanded, mus
     )
     k = _as_k(inst, k)
     shift = choose_shift(mus, a)
-    deltas = tuple(quadratic_delta(P, shift) for P in Ps)
-    session = _session(cache, index_form)
-    return _scalar_delta_value(inst, deltas, k, shift, session)
+    for P in Ps:
+        quadratic_delta(P, shift)
+    return _session(cache, index_form)._value_in(inst, k, shift.a)

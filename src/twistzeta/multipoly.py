@@ -21,15 +21,6 @@ from .errors import DimensionMismatch, RestrictionRange
 __all__ = [
     "NEG_INF",
     "SparsePolynomial",
-    "depends_on",
-    "poly_add",
-    "poly_delta",
-    "poly_eval",
-    "poly_mul",
-    "poly_pow",
-    "poly_restrict",
-    "poly_shift",
-    "total_degree",
 ]
 
 # total_degree of the zero polynomial; compares below every integer
@@ -362,47 +353,3 @@ class SparsePolynomial:
 
     def __repr__(self):
         return f"SparsePolynomial({self.nvars}, {self.canonical_text()!r})"
-
-
-# Operation-style wrappers matching the documented interface.
-
-
-def poly_add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    return p + q
-
-
-def poly_mul(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    return p * q
-
-
-def poly_pow(p: SparsePolynomial, k: int) -> SparsePolynomial:
-    return p**k
-
-
-def poly_shift(p: SparsePolynomial, a: Iterable[int]) -> SparsePolynomial:
-    return p.shift(a)
-
-
-def poly_delta(p: SparsePolynomial, a: Iterable[int]) -> SparsePolynomial:
-    return p.delta(a)
-
-
-def poly_restrict(
-    p: SparsePolynomial,
-    a: Iterable[int],
-    kept: Iterable[int],
-    fixed: Mapping[int, int],
-) -> SparsePolynomial:
-    return p.restrict(a, kept, fixed)
-
-
-def poly_eval(p: SparsePolynomial, point: Iterable):
-    return p.eval(point)
-
-
-def total_degree(p: SparsePolynomial):
-    return p.total_degree()
-
-
-def depends_on(p: SparsePolynomial, index: int) -> bool:
-    return p.depends_on(index)

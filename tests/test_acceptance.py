@@ -168,6 +168,7 @@ def test_criterion_4_fast_paths(capsys):
         for k in ks_up_to(inst.nfactors, 3):
             fast = linear_special_value(inst, k, cache=session)
             ok = ok and fast == special_value(inst, k, cache=session)
+            ok = ok and fast == closed_value(inst.Q, inst.Ps, k, inst.mus)
             checked += 1
 
     mus = TwistVector.exact(4, (1, 1))

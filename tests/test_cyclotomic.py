@@ -272,17 +272,6 @@ def test_element_is_hashable_dict_key():
     assert seen[field.root(7)] == "a"
 
 
-def test_alias_operations():
-    from twistzeta.cyclotomic import elem_add, elem_inv, elem_mul, elem_pow
-
-    field = CyclotomicField.get(3)
-    z = field.root(1)
-    assert elem_add(z, field.one) == z + 1
-    assert elem_mul(z, z) == z ** 2
-    assert elem_pow(z, 3) == field.one
-    assert elem_inv(z) == z ** 2
-
-
 coefficients_st = st.one_of(st.integers(-6, 6), rationals_st)
 
 

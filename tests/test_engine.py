@@ -153,8 +153,10 @@ def test_explicit_shift_skips_top_level_cache():
     poisoned = CyclotomicField.get(2).constant(999)
     session.values[key] = poisoned
     # default policy returns the stored entry, an explicit shift recomputes
+    # and leaves the entry as it was
     assert special_value(inst, (2,), cache=session) == poisoned
     assert special_value(inst, (2,), shift=(3,), cache=session) == v
+    assert session.values[key] == poisoned
 
 
 def _shift_policies(rng, mus):
@@ -173,9 +175,11 @@ def _shift_policies(rng, mus):
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_one_session_equals_fresh_sessions_for_every_shift(mode):
-    # Per-shift plans, contexts and V tables live in the session; reusing
-    # them must give the very values a fresh session computes: exactly
-    # equal elements, or bit-identical doubles in approx mode.
+    # Contexts, step data and V tables live in the session; reusing them
+    # must give the very values a fresh session computes: exactly equal
+    # elements, or bit-identical doubles in approx mode.  The default
+    # value read back after the explicit shifts must be the default one,
+    # not the last shifted result.
     rng = random.Random(5505)
     for inst in oracle_corpus(5505, 12):
         if mode == "approx":
@@ -187,6 +191,8 @@ def test_one_session_equals_fresh_sessions_for_every_shift(mode):
                 got = special_value(inst, k, shift=shift, cache=session)
                 fresh = special_value(inst, k, shift=shift)
                 assert got == fresh, (inst.canonical_text(), k, shift)
+            again = special_value(inst, k, cache=session)
+            assert again == special_value(inst, k), (inst.canonical_text(), k)
 
 
 def test_key_text_memo_stays_out_of_eq_hash_repr():
@@ -393,6 +399,11 @@ def test_linear_path_known_values():
     assert linear_special_value(inst2, (1,), (1, 0)) == field.constant(
         rat(1, 4)
     )
+    # a non-unit shift: mu^(2,1) = -1, three restricted pieces, two points
+    session = ValueCache()
+    for k in range(5):
+        fast = linear_special_value(inst2, (k,), (2, 1), cache=session)
+        assert fast == closed_value(inst2.Q, inst2.Ps, (k,), mus)
 
 
 def test_linear_path_matches_general_engine():
@@ -415,7 +426,9 @@ def test_linear_path_matches_general_engine():
         inst = ZetaInstance(SparsePolynomial.one(N), tuple(Ps), mus)
         k = tuple(rng.randint(0, 2) for _ in range(T))
         a = random_valid_shift(rng, mus)
-        assert linear_special_value(inst, k, a) == special_value(inst, k)
+        fast = linear_special_value(inst, k, a)
+        assert fast == special_value(inst, k)
+        assert fast == closed_value(inst.Q, inst.Ps, k, mus)
 
 
 def test_linear_path_rejects_structures():
@@ -484,6 +497,31 @@ def test_quadratic_pipeline_matches_general_engine():
         general = special_value(inst, k, shift=(1, 2))
         oracle = closed_value(inst.Q, inst.Ps, k, mus)
         assert fast == general == oracle
+
+
+def test_fast_paths_in_approx_mode_match_closed_form():
+    # both fast paths resolve in the context of their shift; in approx
+    # mode the closed product formula is the independent check
+    X1 = SparsePolynomial.variable(2, 1)
+    X2 = SparsePolynomial.variable(2, 2)
+    mus = TwistVector.exact(6, [1, 4]).to_approx()
+    Ps = (X1 + 3 * X2, 2 * X1 + X2)
+    inst = ZetaInstance(SparsePolynomial.one(2), Ps, mus)
+    quad = StructuredQuadratic(squares=((1, -1),), linear=(1, 2), constant=1)
+    qmus = TwistVector.exact(4, [1, 1]).to_approx()
+    qinst = ZetaInstance(SparsePolynomial.one(2), (quad.expand(),), qmus)
+    for index_form in ("residual", "consumed"):
+        session = ValueCache(index_form)
+        for k in ks_up_to(2, 3):
+            for a in ((1, 0), (1, 1), (1, 2)):
+                got = linear_special_value(inst, k, a, cache=session)
+                want = closed_value(inst.Q, inst.Ps, k, mus)
+                assert abs(got - want) <= 1e-12 * (1 + abs(want)), (k, a)
+        for k in range(6):
+            got = quadratic_special_value((quad,), qmus, (k,), (1, 1),
+                                          cache=session)
+            want = closed_value(qinst.Q, qinst.Ps, (k,), qmus)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), k
 
 
 def test_point_terms_use_exact_factor_powers():

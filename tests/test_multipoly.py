@@ -178,27 +178,3 @@ def test_float_coefficients_rejected():
         SparsePolynomial(1, {(1,): 0.5})
     with pytest.raises(TypeError):
         SparsePolynomial.one(1) * 0.5
-
-
-def test_module_level_wrappers():
-    from twistzeta.multipoly import (
-        poly_add,
-        poly_delta,
-        poly_eval,
-        poly_mul,
-        poly_pow,
-        poly_restrict,
-        poly_shift,
-    )
-
-    X = SparsePolynomial.variable(1, 1)
-    assert poly_add(X, X) == 2 * X
-    assert poly_mul(X, X) == X ** 2
-    assert poly_pow(X, 3) == X ** 3
-    assert poly_shift(X, (2,)) == X + 2
-    assert poly_delta(X, (2,)) == SparsePolynomial.constant(1, 2)
-    assert poly_eval(X ** 2, (3,)) == 9
-    Y = SparsePolynomial.variable(2, 2) * SparsePolynomial.variable(2, 1)
-    assert poly_restrict(Y, (1, 1), (1,), {2: 1}) == SparsePolynomial(
-        1, {(1,): rat(1, 1)}
-    ).shift((1,))
