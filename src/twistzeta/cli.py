@@ -12,6 +12,7 @@ methods disagree, 4 engine errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -91,11 +92,20 @@ def _cache_load(path: Optional[str], session: ValueCache, mode: str) -> None:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError("the cache must be a JSON object")
         for key, entry in raw.items():
             field = CyclotomicField.get(int(entry["order"]))
             coords = [parse_rational(c) for c in entry["coords"]]
             session.values[key] = field.element(coords)
-    except (ValueError, KeyError, TypeError, OSError, TwistZetaError) as exc:
+    except (
+        ValueError,
+        KeyError,
+        TypeError,
+        OSError,
+        RecursionError,
+        TwistZetaError,
+    ) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         session.values.clear()
 
@@ -416,9 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones:
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _Disagreement as exc:

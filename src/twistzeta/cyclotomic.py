@@ -107,7 +107,14 @@ class CyclotomicField:
     share the same field object.
     """
 
-    __slots__ = ("order", "degree", "modulus", "reduction_rows", "_root")
+    __slots__ = (
+        "order",
+        "degree",
+        "modulus",
+        "reduction_rows",
+        "_root",
+        "_one_minus_root_powers",
+    )
 
     def __init__(self, order: int):
         modulus = cyclotomic_polynomial(order)
@@ -119,6 +126,8 @@ class CyclotomicField:
         self.modulus = modulus
         self.reduction_rows = self._build_rows(modulus, phi)
         self._root = cmath.exp(2j * math.pi / order)
+        # e -> [1, x, x^2, ...] with x = 1/(1 - zeta_r^e), grown on demand
+        self._one_minus_root_powers: dict = {}
 
     @staticmethod
     def _build_rows(modulus: tuple[int, ...], phi: int) -> tuple:
@@ -214,6 +223,46 @@ class CyclotomicField:
             num[1] = 1
             base = CyclotomicElement(self, tuple(num), 1)
         return base**e
+
+    def inverse_one_minus_root(
+        self, e: int, power: int = 1
+    ) -> "CyclotomicElement":
+        """1/(1 - zeta_r^e) to the given natural power, for zeta_r^e != 1.
+
+        For a root of unity w != 1 with w^r = 1, the sum
+        sum_{j=1}^{r-1} j w^j equals r/(w - 1), so 1/(1 - w) is
+        -(1/r) sum_j j zeta_r^(e j mod r): an integer vector reduced
+        once modulo the monic Phi_r, with no rational arithmetic and no
+        polynomial gcd.  The inverse and its powers are memoized per
+        e mod r on the field.
+        """
+        if power < 0:
+            raise ValueError("the power must be a natural number")
+        e %= self.order
+        powers = self._one_minus_root_powers.get(e)
+        if powers is None:
+            if not e:
+                raise ZeroInverse(f"zeta_{self.order}^0 - 1 is zero")
+            powers = [self.one, self._inverse_one_minus_root(e)]
+            self._one_minus_root_powers[e] = powers
+        while len(powers) <= power:
+            powers.append(powers[-1] * powers[1])
+        return powers[power]
+
+    def _inverse_one_minus_root(self, e: int) -> "CyclotomicElement":
+        r, phi, modulus = self.order, self.degree, self.modulus
+        vec = [0] * r
+        for j in range(1, r):
+            vec[e * j % r] -= j
+        # long division by the monic modulus, from the top coefficient
+        taps = [(t, c) for t, c in enumerate(modulus[:phi]) if c]
+        for i in range(r - 1, phi - 1, -1):
+            c = vec[i]
+            if c:
+                base = i - phi
+                for t, m in taps:
+                    vec[base + t] -= c * m
+        return _reduced(self, tuple(vec[:phi]), r)
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"

@@ -123,6 +123,8 @@ class ProblemDocument:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise DocumentError("not valid JSON: nested too deeply") from None
         _expect(isinstance(raw, dict), "the document must be a JSON object")
         allowed = {"nvars", "nfactors", "twist", "Q", "Ps", "shift",
                    "queries"}

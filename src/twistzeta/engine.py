@@ -36,6 +36,7 @@ from typing import Mapping, Sequence, Union
 
 from ._backend import kernels
 from ._rational import ONE, ZERO, Rational, format_rational
+from .cyclotomic import CyclotomicField
 from .errors import (
     ApproxIllConditioned,
     DependencyConditionViolated,
@@ -481,8 +482,12 @@ class ValueCache:
                     raise ApproxIllConditioned(
                         f"|1 - mu^a| below {_APPROX_SHIFT_TOL:g} for shift {a}"
                     )
-                diff = mus.one_scalar() - mu_a
-                inv = diff.inverse() if mus.mode == "exact" else 1.0 / diff
+                if mus.mode == "exact":
+                    field = CyclotomicField.get(mus.order)
+                    e = sum(x * y for x, y in zip(a, mus.exponents))
+                    inv = field.inverse_one_minus_root(e)
+                else:
+                    inv = 1.0 / (mus.one_scalar() - mu_a)
                 hit = (a, mu_a, inv)
             self._shifts[key] = hit
         return hit

@@ -302,7 +302,10 @@ def negapolylog(n: int, mu: Twist) -> Scalar:
     """zeta_mu(-n) = sum_{m>=1} mu^m m^n in the Abel sense.
 
     Computed as A_n(mu) / (1-mu)^(n+1) with A_n from the operator
-    iteration; exact in Q(zeta_r) for exact twists.
+    iteration; exact in Q(zeta_r) for exact twists, where the power of
+    1/(1-mu) comes from CyclotomicField.inverse_one_minus_root (the
+    root-of-unity identity, memoized per twist on the field) and not
+    from a Euclid inverse.
 
     >>> negapolylog(0, Twist(mode="exact", order=2, exponent=1))
     <Q(zeta_2): -1/2>
@@ -311,9 +314,9 @@ def negapolylog(n: int, mu: Twist) -> Scalar:
         raise ValueError("n must be a natural number")
     z = mu.value()
     if mu.mode == "exact":
-        one = CyclotomicField.get(mu.order).one
-        num = _horner(operator_numerator(n), z, one)
-        return num * ((one - z).inverse() ** (n + 1))
+        field = CyclotomicField.get(mu.order)
+        num = _horner(operator_numerator(n), z, field.one)
+        return num * field.inverse_one_minus_root(mu.exponent, n + 1)
     num = _horner(operator_numerator(n), z, 1 + 0j)
     return num / (1 - z) ** (n + 1)
 

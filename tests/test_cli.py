@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from twistzeta import cli
 from twistzeta.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -312,6 +313,89 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["value", HARMONIC, "1", "--method", "sideways"])
     assert exc.value.code == 2
+
+
+def _outcome(capsys, argv):
+    """(rc, stdout, stderr) of one in-process call; argparse's usage
+    errors and --help leave through SystemExit."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_shared_parser_matches_fresh_parsers(capsys, monkeypatch):
+    calls = [
+        ["value", HARMONIC, "2"],
+        ["table", LINEAR, "--max", "2", "--method", "closed"],
+        ["value", HARMONIC, "--mode", "approx", "--shift", "1"],
+        [],
+        ["value", HARMONIC, "1", "--method", "sideways"],
+        ["check", GROWTH_FAIL],
+        ["table", HARMONIC, "--max", "1,1"],
+        ["verify", HARMONIC, "--seed", "3"],
+        ["--help"],
+        ["value", "--help"],
+        ["frobnicate"],
+        ["value", HARMONIC, "3", "--method", "recurrence"],
+    ]
+    assert cli._parser() is cli._parser()
+    shared = [_outcome(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(capsys, argv) for argv in calls]
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 2, 2, 0, 2, 0, 0, 0, 2, 0]
+    assert shared[3][2].startswith("usage: twistzeta ")
+
+
+def _nested_json(tmp_path, name, opener, closer):
+    path = tmp_path / name
+    path.write_text(opener * 100_000 + "1" + closer * 100_000)
+    return str(path)
+
+
+def _run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "twistzeta.cli", *argv],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+
+
+@pytest.mark.parametrize("command", ["value", "check"])
+def test_deeply_nested_document_exits_2(tmp_path, command):
+    for name, opener, closer in (
+        ("list.json", "[", "]"),
+        ("object.json", '{"a":', "}"),
+    ):
+        path = _nested_json(tmp_path, name, opener, closer)
+        proc = _run_module(command, path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: not valid JSON")
+        assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_cache_is_ignored_with_a_warning(tmp_path):
+    cache = _nested_json(tmp_path, "cache.json", '{"a":', "}")
+    proc = _run_module("value", HARMONIC, "2", "--cache", cache)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith(f"warning: ignoring cache {cache}")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("k=2 exact=[0]")
+    json.loads(Path(cache).read_text())  # rewritten with valid content
+
+
+@pytest.mark.parametrize("payload", ["[]", "3", '"text"', "null"])
+def test_cache_that_is_not_an_object_is_ignored(tmp_path, capsys, payload):
+    cache = tmp_path / "cache.json"
+    cache.write_text(payload)
+    rc, out, err = run_cli(capsys, "value", HARMONIC, "2",
+                           "--cache", str(cache))
+    assert rc == 0
+    assert err.startswith("warning: ignoring cache")
+    assert out.startswith("k=2 exact=[0]")
 
 
 def _script_argv():

@@ -197,6 +197,61 @@ def test_root_inverse_is_negative_power():
     assert z ** -5 == field.root(7)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 9, 12, 60, 120, 360])
+def test_inverse_one_minus_root_property(r):
+    # every e in 1..r-1, units and non-units alike: (1 - zeta^e) x == 1
+    field = CyclotomicField.get(r)
+    one, z = field.one, field.root(1)
+    w = one
+    for e in range(1, r):
+        w = w * z
+        x = field.inverse_one_minus_root(e)
+        assert_canonical(x)
+        assert (one - w) * x == one
+        assert field.inverse_one_minus_root(e + r) is x
+
+
+# all e at the smaller orders; a fixed sample at 120 and 360 (phi = 32
+# and 96), where each Euclid inverse is slow
+EUCLID_CASES = [
+    (r, e) for r in (2, 3, 4, 5, 6, 9, 12, 60) for e in range(1, r)
+]
+EUCLID_CASES += [(120, e) for e in (1, 7, 40, 60, 119)]
+EUCLID_CASES += [(360, e) for e in (1, 77, 120, 180, 359)]
+
+
+def test_inverse_one_minus_root_matches_euclid():
+    for r, e in EUCLID_CASES:
+        field = CyclotomicField.get(r)
+        want = (field.one - field.root(e)).inverse()
+        assert field.inverse_one_minus_root(e) == want, (r, e)
+
+
+@pytest.mark.parametrize("r", [2, 5, 12])
+def test_inverse_one_minus_root_powers(r):
+    field = CyclotomicField.get(r)
+    for e in range(1, r):
+        x = field.inverse_one_minus_root(e)
+        assert field.inverse_one_minus_root(e, 0) == field.one
+        assert field.inverse_one_minus_root(e, 1) is x
+        # asking out of order grows the same memoized list
+        assert field.inverse_one_minus_root(e, 7) == x**7
+        assert field.inverse_one_minus_root(e, 3) == x * x * x
+        assert field.inverse_one_minus_root(e, 7) == (
+            field.one - field.root(e)
+        ) ** -7
+        with pytest.raises(ValueError):
+            field.inverse_one_minus_root(e, -1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 12])
+def test_inverse_one_minus_root_of_one_is_refused(r):
+    field = CyclotomicField.get(r)
+    for e in (0, r, -r, 3 * r):
+        with pytest.raises(ZeroInverse):
+            field.inverse_one_minus_root(e)
+
+
 def test_embed_matches_complex_exponential():
     for r in (2, 3, 4, 5, 6, 8, 12):
         field = CyclotomicField.get(r)

@@ -75,6 +75,8 @@ def test_invalid_json_is_a_document_error():
         parse_document("{nope")
     with pytest.raises(DocumentError):
         parse_document("[1, 2]")
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        parse_document("[" * 100_000 + "]" * 100_000)
 
 
 def test_coefficient_strings_are_validated():

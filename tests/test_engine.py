@@ -33,7 +33,7 @@ from twistzeta import (
 )
 from twistzeta._rational import rat
 from twistzeta.closedform import closed_value
-from twistzeta.cyclotomic import CyclotomicField
+from twistzeta.cyclotomic import CyclotomicElement, CyclotomicField
 from twistzeta.errors import (
     ApproxIllConditioned,
     DependencyConditionViolated,
@@ -44,6 +44,7 @@ from twistzeta.errors import (
     OrthogonalityViolated,
 )
 from twistzeta.multipoly import SparsePolynomial
+from twistzeta.twists import negapolylog
 
 from _support import (
     box_partition_holds,
@@ -576,3 +577,34 @@ def test_deep_k_needs_no_deep_stack():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "consumed: EngineError"
+
+
+def test_exact_hot_paths_need_no_euclid_inverse(monkeypatch):
+    # 1/(1 - mu^a) in the default and an explicit shift, and 1/(1 - mu_n)
+    # in the closed route, come from CyclotomicField.inverse_one_minus_root
+    X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+    one = SparsePolynomial.one(2)
+    mus = TwistVector.exact(60, [7, 12])
+    inst = ZetaInstance(one + X1, (X1 + X2 * 2 + one,), mus)
+    k, shift = (2,), (1, 2)
+
+    def values():
+        negapolylog.cache_clear()
+        session = ValueCache()
+        return (
+            special_value(inst, k, cache=session),
+            special_value(inst, k, shift=shift, cache=session),
+            closed_value(inst.Q, inst.Ps, k, inst.mus),
+        )
+
+    want = values()
+    assert want[0] == want[1] == want[2]
+
+    def refuse(self):
+        raise AssertionError("Euclid inverse on an exact hot path")
+
+    monkeypatch.setattr(CyclotomicElement, "inverse", refuse)
+    monkeypatch.setattr(
+        CyclotomicField.get(60), "_one_minus_root_powers", {}
+    )
+    assert values() == want
