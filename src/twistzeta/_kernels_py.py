@@ -1,10 +1,12 @@
 """The kernels of the hot inner loops, in pure Python.
 
 Coefficients are arbitrary exact numbers (int or Fraction): the engine
-passes integer numerators over a common denominator, SparsePolynomial
-passes Fractions.  Term tables are plain dicts {exponent tuple: nonzero
-coefficient}; power_sums_box works in complex doubles for the Abel
-check.  The functions never mutate their arguments.
+and the closed route pass integer numerators over a common denominator
+(SparsePolynomial.int_table); SparsePolynomial's own arithmetic, used
+when building polynomials and by the tests, passes Fractions.  Term
+tables are plain dicts {exponent tuple: nonzero coefficient};
+power_sums_box works in complex doubles for the Abel check.  The
+functions never mutate their arguments.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ box [1,M]^N is summed directly, which is only usable while the tail
 
 The limit x -> 1- is taken by Richardson extrapolation over
 x = 1 - 2^-j: the estimate is analytic in (1-x) near 0, so each Neville
-stage cancels one more power of 2^-j.
+stage cancels one more power of 2^-j.  Its radius of convergence
+shrinks with min_n |1 - mu_n|, so the j move up for twists near 1.
 """
 
 from __future__ import annotations
@@ -140,13 +141,33 @@ def richardson(values: Sequence[complex], ratio: float = 2.0) -> complex:
     return row[0]
 
 
+# 1 - 2^-j is the last radius below 1 in doubles at j = 52
+_MAX_J = 52
+
+
+def _radius_offset(twists: list[complex], jmax: int) -> int:
+    """max(0, floor(-log2 min_n |1 - mu_n|)), capped so that the largest
+    radius 1 - 2^-(jmax + offset) still lies below 1 in doubles.
+
+    The estimate is analytic in h = 1 - x only for |h| below about
+    |1 - mu_n|, so the radii move toward 1 as a twist nears 1; the
+    offset is 0 for every twist of order r <= 6.
+    """
+    gap = min(abs(1.0 - w) for w in twists)
+    return max(0, min(math.floor(-math.log2(gap)), _MAX_J - jmax))
+
+
 def abel_richardson(
     inst: ZetaInstance,
     k: Sequence[int],
     js: Sequence[int] = (8, 9, 10, 11, 12),
     M: int | None = None,
 ) -> complex:
-    """Richardson-extrapolated Abel estimate over x = 1 - 2^-j."""
+    """Richardson-extrapolated Abel estimate over x = 1 - 2^-j, each j
+    raised by the same offset for twists near 1 (see _radius_offset)."""
     E = expand_numerator(inst.Q, inst.Ps, _as_k(inst, k))
     twists = _embedded_twists(inst)
-    return richardson([_abel_sum(E, twists, 1.0 - 2.0**-j, M) for j in js])
+    offset = _radius_offset(twists, max(js, default=0))
+    return richardson(
+        [_abel_sum(E, twists, 1.0 - 2.0 ** -(j + offset), M) for j in js]
+    )

@@ -68,15 +68,21 @@ def _parse_k(text: str, nfactors: int) -> tuple[int, ...]:
     return k
 
 
-def _parse_shift(text: Optional[str]):
+def _parse_shift(text: Optional[str], nvars: int):
     if text is None:
         return "default"
     if text in ("default", "all-ones"):
         return text
     try:
-        return tuple(int(part) for part in text.strip().strip("()").split(","))
+        a = tuple(int(part) for part in text.strip().strip("()").split(","))
     except ValueError:
         raise DocumentError(f"cannot parse shift from {text!r}") from None
+    if len(a) != nvars:
+        raise DocumentError(
+            f"shift must list one entry per twist: {nvars} expected, "
+            f"{len(a)} given"
+        )
+    return a
 
 
 def _box(max_k: Sequence[int]):
@@ -202,7 +208,7 @@ def _cmd_value(args) -> int:
         ks = list(doc.queries)
     else:
         raise DocumentError("no k given and the document lists no queries")
-    shift = _parse_shift(args.shift)
+    shift = _parse_shift(args.shift, inst.nvars)
     records = [
         _compute_record(inst, k, args.method, shift, session,
                         args.inject_fault)
@@ -226,7 +232,7 @@ def _cmd_table(args) -> int:
         raise DocumentError("no --max given and the document has no range")
     session = ValueCache()
     _cache_load(args.cache, session, inst.mus.mode)
-    shift = _parse_shift(args.shift)
+    shift = _parse_shift(args.shift, inst.nvars)
     records = [
         _compute_record(inst, k, args.method, shift, session,
                         args.inject_fault)

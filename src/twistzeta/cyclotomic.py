@@ -250,19 +250,43 @@ class CyclotomicField:
         return powers[power]
 
     def _inverse_one_minus_root(self, e: int) -> "CyclotomicElement":
-        r, phi, modulus = self.order, self.degree, self.modulus
+        r = self.order
         vec = [0] * r
         for j in range(1, r):
             vec[e * j % r] -= j
+        return _reduced(self, self._fold(vec), r)
+
+    def root_sum(self, coeffs, e: int) -> "CyclotomicElement":
+        """sum_i c_i zeta_r^(e i) for integer coefficients c_0, c_1, ...
+
+        Each c_i lands in slot e i mod r of one integer vector of length
+        r, which is then reduced once modulo the monic Phi_r: no field
+        product per coefficient and no rational arithmetic.
+        """
+        r = self.order
+        e %= r
+        vec = [0] * r
+        slot = 0
+        for c in coeffs:
+            vec[slot] += c
+            slot += e
+            if slot >= r:
+                slot -= r
+        return CyclotomicElement(self, self._fold(vec), 1)
+
+    def _fold(self, vec: list) -> tuple:
+        """The reduced coordinates of sum_i vec[i] zeta_r^i, for an
+        integer vector of length r; vec is consumed."""
+        phi, modulus = self.degree, self.modulus
         # long division by the monic modulus, from the top coefficient
         taps = [(t, c) for t, c in enumerate(modulus[:phi]) if c]
-        for i in range(r - 1, phi - 1, -1):
+        for i in range(len(vec) - 1, phi - 1, -1):
             c = vec[i]
             if c:
                 base = i - phi
                 for t, m in taps:
                     vec[base + t] -= c * m
-        return _reduced(self, tuple(vec[:phi]), r)
+        return tuple(vec[:phi])
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"

@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from ._backend import kernels
 from ._rational import ONE, ZERO, Rational, format_rational
@@ -264,14 +264,6 @@ def boundary_decompose(
     return pieces
 
 
-def _int_table(terms: Mapping) -> tuple[dict, int]:
-    """A rational term table as ({exps: int}, den) over the least common
-    denominator, keys in the same order."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    table = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    return table, den
-
-
 def _pick_shift(mus: TwistVector) -> tuple[int, ...]:
     """The default shift: e_1 in exact mode, valid since mu_1 != 1, and
     the first well conditioned one of e_1..e_N, all-ones in approx
@@ -335,7 +327,7 @@ class _Context:
         self.T = len(Ps)
         self.a, self.mu_a, self.inv1ma = a, mu_a, inv1ma
         self.zero = mus.zero_scalar()
-        self.deltas = tuple(_int_table(P.delta(a).terms) for P in Ps)
+        self.deltas = tuple(P.delta(a).int_table() for P in Ps)
         self.V: dict = {}
         self.steps: dict = {}
         # the boundary pieces, built with the first step data
@@ -372,7 +364,7 @@ class _Step:
     __slots__ = ("shifted", "delta", "restricted", "at_points", "_prod")
 
     def __init__(self, ctx: _Context, numerator: SparsePolynomial):
-        nums, den = _int_table(numerator.terms)
+        nums, den = numerator.int_table()
         shifted = kernels.shift_terms(nums, ctx.a)
         # N(X+a) - N(X) in the term order of SparsePolynomial subtraction,
         # which fixes the order of the approx-mode sums
@@ -389,9 +381,9 @@ class _Step:
         self.shifted = (shifted, den)
         self.delta = (delta, den)
         self.restricted = [
-            _int_table(
-                numerator.restrict(ctx.a, piece.kept, dict(piece.fixed)).terms
-            )
+            numerator.restrict(
+                ctx.a, piece.kept, dict(piece.fixed)
+            ).int_table()
             for piece, _ in ctx.restricted
         ]
         self.at_points = [numerator.eval(point.b) for point in ctx.points]
@@ -537,7 +529,7 @@ class ValueCache:
         """Z(Q; -k) over the V table of the context of shift a (None is
         the default pick)."""
         ctx = self.context(inst.Ps, inst.mus, a)
-        return self._resolve(ctx, *_int_table(inst.Q.terms), k, None)
+        return self._resolve(ctx, *inst.Q.int_table(), k, None)
 
     # recursion ------------------------------------------------------
 

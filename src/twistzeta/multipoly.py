@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, RestrictionRange
 __all__ = [
     "NEG_INF",
     "SparsePolynomial",
+    "graded_terms",
 ]
 
 # total_degree of the zero polynomial; compares below every integer
@@ -32,10 +33,18 @@ def _coerce(value):
     raise TypeError(f"coefficients must be exact rationals, got {type(value)!r}")
 
 
+def graded_terms(table: Mapping) -> list:
+    """The items of a term table in descending graded lexicographic
+    order."""
+    return sorted(
+        table.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True
+    )
+
+
 class SparsePolynomial:
     """Polynomial in nvars variables with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_hash", "_text")
+    __slots__ = ("nvars", "terms", "_hash", "_text", "_ints")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
@@ -65,6 +74,7 @@ class SparsePolynomial:
         self.terms = table
         self._hash = None
         self._text = None
+        self._ints = None
 
     # Internal fast path: table already canonical, skip validation.
     @classmethod
@@ -74,6 +84,7 @@ class SparsePolynomial:
         p.terms = table
         p._hash = None
         p._text = None
+        p._ints = None
         return p
 
     @classmethod
@@ -314,11 +325,7 @@ class SparsePolynomial:
 
     def sorted_terms(self) -> list:
         """Terms in descending graded lexicographic order."""
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (sum(item[0]), item[0]),
-            reverse=True,
-        )
+        return graded_terms(self.terms)
 
     def canonical_text(self) -> str:
         """Deterministic text form, used in cache keys.
@@ -338,6 +345,22 @@ class SparsePolynomial:
             chunks.append(f"{body}*{vars_part}" if vars_part else body)
         self._text = " + ".join(chunks) if chunks else "0"
         return self._text
+
+    def int_table(self) -> tuple[dict, int]:
+        """The terms as ({exps: int}, den): integer numerators over den,
+        the least common denominator of the coefficients, keys in the
+        order of terms; gcd(den, *numerators) == 1.  Computed once per
+        polynomial; callers must not mutate the table.
+        """
+        if self._ints is None:
+            terms = self.terms
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            self._ints = (
+                {e: c.numerator * (den // c.denominator)
+                 for e, c in terms.items()},
+                den,
+            )
+        return self._ints
 
     def __eq__(self, other):
         if not isinstance(other, SparsePolynomial):

@@ -302,23 +302,35 @@ def negapolylog(n: int, mu: Twist) -> Scalar:
     """zeta_mu(-n) = sum_{m>=1} mu^m m^n in the Abel sense.
 
     Computed as A_n(mu) / (1-mu)^(n+1) with A_n from the operator
-    iteration; exact in Q(zeta_r) for exact twists, where the power of
-    1/(1-mu) comes from CyclotomicField.inverse_one_minus_root (the
-    root-of-unity identity, memoized per twist on the field) and not
-    from a Euclid inverse.
+    iteration.  For exact twists mu = zeta_r^e the numerator is
+    CyclotomicField.root_sum of the integer coefficients of A_n (one
+    folded vector of length r, no Horner products in the field) and
+    the power of 1/(1-mu) comes from
+    CyclotomicField.inverse_one_minus_root (the root-of-unity identity,
+    memoized per twist on the field), not from a Euclid inverse.
+    Approx twists evaluate A_n by Horner in complex doubles.
 
     >>> negapolylog(0, Twist(mode="exact", order=2, exponent=1))
     <Q(zeta_2): -1/2>
     """
     if n < 0:
         raise ValueError("n must be a natural number")
-    z = mu.value()
     if mu.mode == "exact":
         field = CyclotomicField.get(mu.order)
-        num = _horner(operator_numerator(n), z, field.one)
+        num = field.root_sum(operator_numerator(n), mu.exponent)
         return num * field.inverse_one_minus_root(mu.exponent, n + 1)
+    z = mu.value()
     num = _horner(operator_numerator(n), z, 1 + 0j)
     return num / (1 - z) ** (n + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _euclid_inverse_one_minus(order: int, e: int) -> CyclotomicElement:
+    """1/(1 - zeta_r^e) by the extended Euclidean algorithm, once per
+    twist: the oracle's own inverse, independent of the root-of-unity
+    identity behind CyclotomicField.inverse_one_minus_root."""
+    field = CyclotomicField.get(order)
+    return (field.one - field.root(e)).inverse()
 
 
 @_value_cached
@@ -332,11 +344,11 @@ def eulerian_negapolylog(n: int, mu: Twist) -> Scalar:
     row = eulerian_row(n)
     z = mu.value()
     if mu.mode == "exact":
-        one = CyclotomicField.get(mu.order).one
-        acc = one * 0
+        acc = CyclotomicField.get(mu.order).zero
         for j, c in enumerate(row):
             acc = acc + (z ** (n - j)) * c
-        return acc * ((one - z).inverse() ** (n + 1))
+        inv = _euclid_inverse_one_minus(mu.order, mu.exponent)
+        return acc * inv ** (n + 1)
     acc = 0j
     for j, c in enumerate(row):
         acc += c * z ** (n - j)

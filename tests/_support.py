@@ -10,6 +10,8 @@ seeds so failures replay.
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from twistzeta import (
     PointTerm,
     Restricted,
@@ -29,6 +31,16 @@ def exponent_pool(N, maxdeg):
         e
         for e in itertools.product(range(maxdeg + 1), repeat=N)
         if sum(e) <= maxdeg
+    )
+
+
+def fraction_polynomials(nvars, maxdeg=2, maxterms=4):
+    """Hypothesis strategy: polynomials with signed fractional
+    coefficients, the zero polynomial included."""
+    exps = st.tuples(*[st.integers(0, maxdeg) for _ in range(nvars)])
+    coef = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
+    return st.dictionaries(exps, coef, max_size=maxterms).map(
+        lambda terms: SparsePolynomial(nvars, terms)
     )
 
 

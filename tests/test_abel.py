@@ -143,3 +143,24 @@ def test_richardson_expands_the_numerator_once(monkeypatch):
     assert got == richardson(
         [abel_estimate(inst, (3,), 1.0 - 2.0**-j) for j in js]
     )
+
+
+def test_radius_offset_follows_the_gap_to_one():
+    def offset(r, es, jmax=12):
+        N = len(es)
+        inst = ZetaInstance(
+            SparsePolynomial.one(N),
+            (SparsePolynomial.variable(N, 1),),
+            TwistVector.exact(r, es),
+        )
+        return abel._radius_offset(abel._embedded_twists(inst), jmax)
+
+    # |1 - mu| >= 1 up to rounding for r <= 6: the radii stay 1 - 2^-(8..12)
+    for r in range(2, 7):
+        for e in range(1, r):
+            assert offset(r, [e]) == 0, (r, e)
+    # |1 - zeta_120| = 0.052 = 2^-4.26; the closest twist decides
+    assert offset(120, [1, 40]) == 4
+    assert offset(120, [40, 119]) == 4
+    # the largest radius stays below 1 in doubles
+    assert offset(120, [1], jmax=50) == 2

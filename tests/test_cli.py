@@ -264,6 +264,29 @@ def test_approx_shift_output_is_pinned(capsys, case):
     assert out == case["stdout"]
 
 
+CLOSED_GOLDEN = json.loads(
+    (ROOT / "tests" / "data" / "closed_golden.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    CLOSED_GOLDEN,
+    ids=lambda c: " ".join(c["argv"][:2] + c["argv"][-1:]),
+)
+def test_closed_route_output_is_pinned(capsys, case):
+    # value and table through the closed route alone, exact and approx,
+    # byte for byte: pins the exact text and, in approx mode, the order
+    # of the floating-point sum over the expanded numerator
+    argv = [str(ROOT / a) if a.startswith("problems/") else a
+            for a in case["argv"]]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert out == case["stdout"]
+
+
 def test_cache_file_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     rc, first, _ = run_cli(capsys, "table", HARMONIC, "--max", "4",
@@ -434,3 +457,31 @@ def test_value_beyond_double_range_exits_4():
     assert proc.stdout == ""
     assert proc.stderr.startswith("engine error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("shift", ["1", "1,1,1"])
+def test_shift_of_wrong_length_is_a_usage_error(shift):
+    proc = _run_module("value", LINEAR, "1", "--shift", shift)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: shift must list one entry per twist: 2 expected"
+    )
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_passes_abel_for_twists_near_one(tmp_path, capsys):
+    # mu_1 = zeta_120 lies 0.052 from 1: the Richardson radii move toward
+    # 1 so that the Abel estimate converges before the tolerance bites
+    doc = tmp_path / "near_one.json"
+    doc.write_text(json.dumps({
+        "nvars": 2,
+        "nfactors": 1,
+        "twist": {"mode": "exact", "order": 120, "exponents": [1, 40]},
+        "Q": [{"coef": "1", "exps": [0, 0]}],
+        "Ps": [[{"coef": "1", "exps": [1, 0]},
+                {"coef": "1", "exps": [0, 1]}]],
+    }))
+    rc, out, err = run_cli(capsys, "verify", str(doc), "--max", "3")
+    assert rc == 0, err
+    assert out.rstrip().endswith("verify: PASS (4 values, 4 shifts each)")

@@ -8,6 +8,7 @@ values, by linearity, and by a direct numeric partial sum.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from twistzeta.closedform import closed_value, expand_numerator
 from twistzeta.cyclotomic import CyclotomicField
 from twistzeta.multipoly import SparsePolynomial
 
-from _support import random_polynomial
+from _support import fraction_polynomials, random_polynomial
 
 
 def test_expand_numerator_is_the_product():
@@ -135,3 +136,47 @@ def test_monomial_case_reduces_to_axis_product():
     got = closed_value(Q, (P,), (4,), mus)
     want = mus.scale(monomial_sum((2, 1), mus), rat(3, 2))
     assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    fraction_polynomials(n), fraction_polynomials(n), fraction_polynomials(n),
+    st.integers(0, 4), st.integers(0, 3),
+)))
+def test_integer_expansion_matches_fraction_product(case):
+    # the expansion runs on integer tables over one denominator; the
+    # Fraction product of SparsePolynomial is the oracle
+    Q, P1, P2, k1, k2 = case
+    want = Q * P1**k1 * P2**k2
+    got = expand_numerator(Q, (P1, P2), (k1, k2))
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert expand_numerator(SparsePolynomial.zero(Q.nvars), (P1, P2),
+                            (k1, k2)).is_zero
+
+
+def test_closed_route_multiplies_no_fraction_polynomials(monkeypatch):
+    # the exact closed route expands E on integer tables and forms A_n(mu)
+    # from one folded root vector: SparsePolynomial.__mul__ and the field
+    # Horner loop stay out of it
+    from twistzeta import twists
+
+    X = SparsePolynomial.variable(1, 1)
+    Q = SparsePolynomial.one(1)
+    P, fresh = X * 3 + 2, X * 3 + 2
+    mus = TwistVector.exact(3, [1])
+    want = mus.lincomb(
+        (twists.monomial_sum(alpha, mus), c)
+        for alpha, c in (P**40).terms.items()
+    )
+
+    def refuse(*args):
+        raise AssertionError("Fraction product or Horner on the closed route")
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", refuse)
+    monkeypatch.setattr(twists, "_horner", refuse)
+    twists.negapolylog.cache_clear()
+    try:
+        assert closed_value(Q, (fresh,), (40,), mus) == want
+    finally:
+        twists.negapolylog.cache_clear()

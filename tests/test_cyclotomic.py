@@ -375,3 +375,24 @@ def test_lincomb_refuses_other_fields_and_floats():
         field.lincomb([(CyclotomicField.get(4).one, 1)])
     with pytest.raises(TypeError):
         field.lincomb([(field.one, 0.5)])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 9, 12, 60])
+def test_root_sum_matches_field_products(r):
+    # sum_i c_i zeta^(e i) from one folded vector against the same sum
+    # built by field products, for every e mod r (and e outside 0..r-1),
+    # with coefficient lists shorter and longer than r
+    field = CyclotomicField.get(r)
+    rng = random.Random(r)
+    for e in list(range(r)) + [r + 1, -1, 3 * r - 2]:
+        z = field.root(e)
+        for length in (0, 1, r // 2 + 1, 2 * r + 3):
+            coeffs = [rng.randint(-40, 40) for _ in range(length)]
+            want = field.zero
+            w = field.one
+            for c in coeffs:
+                want = want + w * c
+                w = w * z
+            got = field.root_sum(coeffs, e)
+            assert_canonical(got)
+            assert got == want, (e, coeffs)

@@ -5,6 +5,9 @@ and evaluation are validated against each other through the evaluation
 homomorphism, which pins all of them to integer arithmetic.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 from twistzeta._rational import rat
 from twistzeta.errors import DimensionMismatch, RestrictionRange
 from twistzeta.multipoly import NEG_INF, SparsePolynomial
+
+from _support import fraction_polynomials
 
 
 def poly_strategy(nvars, maxdeg=3, maxterms=5):
@@ -178,3 +183,17 @@ def test_float_coefficients_rejected():
         SparsePolynomial(1, {(1,): 0.5})
     with pytest.raises(TypeError):
         SparsePolynomial.one(1) * 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: fraction_polynomials(n, 3, 5)))
+def test_int_table_round_trips(p):
+    nums, den = p.int_table()
+    assert den > 0 and type(den) is int
+    assert all(type(c) is int and c for c in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert list(nums) == list(p.terms)
+    assert SparsePolynomial(
+        p.nvars, {e: Fraction(c, den) for e, c in nums.items()}
+    ) == p
+    assert p.int_table() is p.int_table()

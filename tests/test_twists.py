@@ -46,6 +46,22 @@ def test_dual_derivations_agree_on_wide_fields(r):
             assert negapolylog(n, mu) == eulerian_negapolylog(n, mu), (e, n)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 12, 60, 120])
+def test_root_sum_numerators_match_eulerian_oracle(r):
+    # A_n(zeta^e) from CyclotomicField.root_sum, over the memoized power of
+    # 1/(1 - zeta^e), against the Eulerian oracle with its Euclid inverse;
+    # every e, n <= 30, and n = 256 at r in {2, 3}
+    field = CyclotomicField.get(r)
+    ns = list(range(1, 31)) + ([256] if r in (2, 3) else [])
+    for e in range(1, r):
+        mu = TwistVector.exact(r, [e]).single(1)
+        for n in ns:
+            want = eulerian_negapolylog(n, mu)
+            num = field.root_sum(operator_numerator(n), e)
+            assert num * field.inverse_one_minus_root(e, n + 1) == want
+            assert negapolylog(n, mu) == want, (e, n)
+
+
 def test_alternating_values():
     # classical: sum (-1)^m m^n in the Abel sense
     mu = TwistVector.exact(2, [1]).single(1)
