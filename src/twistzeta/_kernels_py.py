@@ -1,9 +1,7 @@
 """The kernels of the hot inner loops, in pure Python.
 
-Coefficients are arbitrary exact numbers (int or Fraction): the engine
-and the closed route pass integer numerators over a common denominator
-(SparsePolynomial.int_table); SparsePolynomial's own arithmetic, used
-when building polynomials and by the tests, passes Fractions.  Term
+Coefficients are ints: SparsePolynomial and CyclotomicElement both store
+integer numerators over one denominator and divide afterwards.  Term
 tables are plain dicts {exponent tuple: nonzero coefficient};
 power_sums_box works in complex doubles for the Abel check.  The
 functions never mutate their arguments.
@@ -76,11 +74,9 @@ def shift_terms(A: dict, a: tuple) -> dict:
 def cyclo_mul(xs: tuple, ys: tuple, rows: tuple) -> tuple:
     """Coordinate product in Q(zeta_r).
 
-    xs and ys have length phi; rows[j] holds the reduced integer
-    coordinates of z^(phi+j) modulo the field polynomial.  Any exact
-    coefficient type works; CyclotomicElement passes the integer
-    numerators of its two operands and divides by the product of their
-    denominators afterwards.
+    xs and ys have length phi and hold the integer numerators of the two
+    operands; rows[j] holds the reduced integer coordinates of z^(phi+j)
+    modulo the field polynomial.
     """
     phi = len(xs)
     n = 2 * phi - 1

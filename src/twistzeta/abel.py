@@ -24,7 +24,7 @@ from ._backend import kernels
 from .closedform import expand_numerator
 from .engine import ZetaInstance, _as_k
 from .errors import EngineError
-from .multipoly import SparsePolynomial
+from .multipoly import SparsePolynomial, graded_terms
 
 __all__ = ["abel_estimate", "abel_richardson", "richardson"]
 
@@ -95,7 +95,7 @@ def _abel_sum(
     ws = [x * mu for mu in twists]
     N = E.nvars
     maxdeg = [0] * N
-    for alpha in E.terms:
+    for alpha in E.nums:
         for n, e in enumerate(alpha):
             if e > maxdeg[n]:
                 maxdeg[n] = e
@@ -111,8 +111,10 @@ def _abel_sum(
                 kernels.power_sums_box(w.real, w.imag, M, maxdeg[n])
             )
     acc = 0j
-    for alpha, coef in E.sorted_terms():
-        term = complex(float(coef), 0.0)
+    den = E.den
+    for alpha, c in graded_terms(E.nums):
+        # int / int is correctly rounded: the double of the coefficient
+        term = complex(c / den, 0.0)
         for n, e in enumerate(alpha):
             term *= tables[n][e]
         acc += term

@@ -213,16 +213,8 @@ class CyclotomicField:
         return self.constant(1)
 
     def root(self, e: int = 1) -> "CyclotomicElement":
-        """The element zeta_r^e."""
-        e %= self.order
-        if self.degree == 1:
-            # r = 1 or 2: z is 1 or -1
-            base = self.constant(-1) if self.order == 2 else self.one
-        else:
-            num = [0] * self.degree
-            num[1] = 1
-            base = CyclotomicElement(self, tuple(num), 1)
-        return base**e
+        """The element zeta_r^e: one slot of a folded root vector."""
+        return self.root_sum((0, 1), e)
 
     def inverse_one_minus_root(
         self, e: int, power: int = 1
@@ -332,6 +324,50 @@ def _reduced(field: CyclotomicField, num: tuple, den: int):
             num = tuple([c // g for c in num])
             den //= g
     return CyclotomicElement(field, num, den)
+
+
+def _fixed_pi(bits: int) -> int:
+    """pi * 2^bits to within 8 * bits units, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+
+    def arctan_inv(x: int) -> int:
+        term = total = (1 << bits) // x
+        n = 1
+        while term:
+            term //= -x * x
+            n += 2
+            total += term // n
+        return total
+
+    return 16 * arctan_inv(5) - 4 * arctan_inv(239)
+
+
+def _embed_fixed(num: tuple, den: int, order: int) -> complex:
+    """sum_i num_i zeta_r^i / den at zeta_r = exp(2 pi i / r), summed
+    exactly in integers over fixed-point powers of zeta_r and rounded
+    once; the precision doubles until the error bound, one unit of the
+    last place per |num_i|, is below 2^-64 of the sum."""
+    total = sum(map(abs, num))
+    bits = 64 + max(0, total.bit_length() - den.bit_length())
+    while True:
+        # zeta_r to bits + guard fractional bits by the exponential series,
+        # its powers by repeated products
+        work = bits + 32 + len(num).bit_length()
+        one, shift = 1 << work, 32 + len(num).bit_length()
+        theta = 2 * _fixed_pi(work) // order
+        cos, sin, tr, ti, j = 0, 0, one, 0, 0
+        while tr or ti:
+            cos, sin, j = cos + tr, sin + ti, j + 1
+            tr, ti = -ti * theta // (one * j), tr * theta // (one * j)
+        x, y, re, im = one, 0, 0, 0
+        for c in num:  # each power rounded to bits fractional bits
+            re += c * (((x >> (shift - 1)) + 1) >> 1)
+            im += c * (((y >> (shift - 1)) + 1) >> 1)
+            x, y = (x * cos - y * sin) >> work, (x * sin + y * cos) >> work
+        if max(abs(re), abs(im)) >= total << 64:
+            scale = den << bits
+            return complex(re / scale, im / scale)
+        bits *= 2
 
 
 class CyclotomicElement:
@@ -498,15 +534,20 @@ class CyclotomicElement:
     def embed(self) -> complex:
         """Numeric value at z = exp(2 pi i / r), in double precision.
 
-        A coordinate beyond the double range raises EngineError."""
+        A coordinate or modulus beyond the double range raises EngineError."""
         # int / int is correctly rounded, the same double as float(p/q)
         z = self.field._root
-        den = self.den
+        num, den = self.num, self.den
         acc = 0j
         try:
-            for c in reversed(self.num):
+            for c in reversed(num):
                 acc = acc * z + c / den
-        except OverflowError:
+            n, d = abs(acc).as_integer_ratio()
+            # sum_i |num_i| > 2^26 den |acc|: more than half of the bits
+            # of the double sum may have cancelled out
+            if sum(map(abs, num)) * d > (den * n) << 26:
+                return _embed_fixed(num, den, self.field.order)
+        except (OverflowError, ValueError):  # ValueError: a NaN sum
             raise EngineError(
                 "value exceeds the double range; no decimal form"
             ) from None

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from ._backend import kernels
 from ._rational import ONE, ZERO, Rational, format_rational
 from .cyclotomic import CyclotomicField
 from .errors import (
@@ -293,7 +292,7 @@ class _Context:
     context also holds V[(alpha, k)], the values of monomial numerators,
     and steps, the step data of every numerator it has met, keyed by
     alpha for X^alpha and by the canonical text of an explicit top-level
-    Q.  Term tables are integer pairs ({exps: int}, den).
+    Q.
     """
 
     __slots__ = (
@@ -327,16 +326,16 @@ class _Context:
         self.T = len(Ps)
         self.a, self.mu_a, self.inv1ma = a, mu_a, inv1ma
         self.zero = mus.zero_scalar()
-        self.deltas = tuple(P.delta(a).int_table() for P in Ps)
+        self.deltas = tuple(P.delta(a) for P in Ps)
         self.V: dict = {}
         self.steps: dict = {}
         # the boundary pieces, built with the first step data
         self.restricted = None
         self.points = None
-        self._g = {(0,) * self.T: ({(0,) * self.N: 1}, 1)}
+        self._g = {(0,) * self.T: SparsePolynomial.one(self.N)}
 
-    def G(self, v: tuple[int, ...]) -> tuple[dict, int]:
-        """prod_t (Delta_a P_t)^(v_t) as ({exps: int}, den).
+    def G(self, v: tuple[int, ...]) -> SparsePolynomial:
+        """prod_t (Delta_a P_t)^(v_t).
 
         G(v) is G(v with its first nonzero entry lowered by one) times
         that Delta_a P_t, filled in upward from the nearest memoized
@@ -347,13 +346,12 @@ class _Context:
             chain.append(v)
             t = next(i for i, x in enumerate(v) if x)
             v = v[:t] + (v[t] - 1,) + v[t + 1 :]
-        nums, den = memo[v]
+        g = memo[v]
         for v in reversed(chain):
             t = next(i for i, x in enumerate(v) if x)
-            dnums, dden = self.deltas[t]
-            nums, den = kernels.mul_terms(nums, dnums), den * dden
-            memo[v] = (nums, den)
-        return nums, den
+            g = g * self.deltas[t]
+            memo[v] = g
+        return g
 
 
 class _Step:
@@ -364,44 +362,21 @@ class _Step:
     __slots__ = ("shifted", "delta", "restricted", "at_points", "_prod")
 
     def __init__(self, ctx: _Context, numerator: SparsePolynomial):
-        nums, den = numerator.int_table()
-        shifted = kernels.shift_terms(nums, ctx.a)
-        # N(X+a) - N(X) in the term order of SparsePolynomial subtraction,
-        # which fixes the order of the approx-mode sums
-        delta = {}
-        for e, c in shifted.items():
-            old = nums.get(e)
-            if old is None:
-                delta[e] = c
-            elif c != old:
-                delta[e] = c - old
-        for e, c in nums.items():
-            if e not in shifted:
-                delta[e] = -c
-        self.shifted = (shifted, den)
-        self.delta = (delta, den)
+        self.shifted = numerator.shift(ctx.a)
+        # numerator.delta(a), without shifting a second time
+        self.delta = self.shifted - numerator
         self.restricted = [
-            numerator.restrict(
-                ctx.a, piece.kept, dict(piece.fixed)
-            ).int_table()
+            numerator.restrict(ctx.a, piece.kept, dict(piece.fixed))
             for piece, _ in ctx.restricted
         ]
         self.at_points = [numerator.eval(point.b) for point in ctx.points]
         self._prod: dict = {}
 
-    def prod(self, ctx: _Context, v: tuple[int, ...]) -> tuple[dict, int]:
-        """N(X+a) * G(v) as ({exps: int}, den), for the context ctx that
-        holds this step data."""
+    def prod(self, ctx: _Context, v: tuple[int, ...]) -> SparsePolynomial:
+        """N(X+a) * G(v), for the context ctx that holds this step data."""
         hit = self._prod.get(v)
         if hit is None:
-            gnums, gden = ctx.G(v)
-            if not gnums:
-                hit = ({}, 1)
-            elif not any(v):
-                hit = self.shifted
-            else:
-                nums, den = self.shifted
-                hit = (kernels.mul_terms(nums, gnums), den * gden)
+            hit = self.shifted * ctx.G(v) if any(v) else self.shifted
             self._prod[v] = hit
         return hit
 
@@ -476,8 +451,7 @@ class ValueCache:
                     )
                 if mus.mode == "exact":
                     field = CyclotomicField.get(mus.order)
-                    e = sum(x * y for x, y in zip(a, mus.exponents))
-                    inv = field.inverse_one_minus_root(e)
+                    inv = field.inverse_one_minus_root(mus.power_exponent(a))
                 else:
                     inv = 1.0 / (mus.one_scalar() - mu_a)
                 hit = (a, mu_a, inv)
@@ -520,7 +494,7 @@ class ValueCache:
                     if isinstance(piece, Restricted)
                 ]
             if numerator is None:
-                numerator = SparsePolynomial._raw(ctx.N, {key: ONE})
+                numerator = SparsePolynomial._raw(ctx.N, {key: 1})
             data = _Step(ctx, numerator)
             ctx.steps[key] = data
         return data
@@ -529,7 +503,7 @@ class ValueCache:
         """Z(Q; -k) over the V table of the context of shift a (None is
         the default pick)."""
         ctx = self.context(inst.Ps, inst.mus, a)
-        return self._resolve(ctx, *inst.Q.int_table(), k, None)
+        return self._resolve(ctx, inst.Q, k, None)
 
     # recursion ------------------------------------------------------
 
@@ -568,10 +542,8 @@ class ValueCache:
         ]
         groups.append((data.delta, k, None))
         total = ctx.mu_a * self._combine(inner, groups, parent)
-        for (piece, sub_ctx), (nums, den) in zip(
-            ctx.restricted, data.restricted
-        ):
-            sval = self._resolve(sub_ctx, nums, den, k, parent)
+        for (piece, sub_ctx), poly in zip(ctx.restricted, data.restricted):
+            sval = self._resolve(sub_ctx, poly, k, parent)
             total = total + piece.prefactor * sval
         for point, nb in zip(ctx.points, data.at_points):
             total = total + point.term(k, nb)
@@ -592,7 +564,7 @@ class ValueCache:
         return value
 
     def _combine(self, ctx: _Context, groups: list, parent) -> Scalar:
-        """sum over groups ((nums, den), u, w) of w * resolve(nums/den, u),
+        """sum over groups (polynomial, u, w) of w * resolve(polynomial, u),
         where w None means a plain sum.
 
         Exact mode fuses every group into one linear combination over the
@@ -600,28 +572,29 @@ class ValueCache:
         group, scaled by w and summed in order."""
         V = self._V
         if ctx.mus.mode == "exact":
-            lcd = math.lcm(*(den for (nums, den), u, w in groups if nums))
+            lcd = math.lcm(*(p.den for p, u, w in groups if p.nums))
             pairs = []
-            for (nums, den), u, w in groups:
-                if nums:
-                    m = lcd // den if w is None else w * (lcd // den)
+            for p, u, w in groups:
+                if p.nums:
+                    m = lcd // p.den if w is None else w * (lcd // p.den)
                     pairs.extend(
                         (V(ctx, alpha, u, parent), c * m)
-                        for alpha, c in nums.items()
+                        for alpha, c in p.nums.items()
                     )
             return ctx.mus.lincomb(pairs, lcd)
         acc = ctx.zero
-        for (nums, den), u, w in groups:
-            if nums:
-                value = self._resolve(ctx, nums, den, u, parent)
+        for p, u, w in groups:
+            if p.nums:
+                value = self._resolve(ctx, p, u, parent)
                 acc = acc + (value if w is None else value * w)
         return acc
 
-    def _resolve(self, ctx: _Context, nums: dict, den: int, k, parent):
-        """sum over the integer term table of coef/den * V(alpha, k)."""
+    def _resolve(self, ctx: _Context, poly: SparsePolynomial, k, parent):
+        """sum over the terms of poly of coef * V(alpha, k)."""
         V = self._V
         return ctx.mus.lincomb(
-            [(V(ctx, alpha, k, parent), c) for alpha, c in nums.items()], den
+            [(V(ctx, alpha, k, parent), c) for alpha, c in poly.nums.items()],
+            poly.den,
         )
 
 
@@ -735,9 +708,9 @@ def linear_special_value(
     if not (inst.Q.is_constant and inst.Q.constant_value() == ONE):
         raise NotLinearForm("the linear fast path requires Q = 1")
     for t, P in enumerate(inst.Ps, start=1):
-        if P.is_zero or any(sum(e) != 1 for e in P.terms):
+        if P.is_zero or any(sum(e) != 1 for e in P.nums):
             raise NotLinearForm(f"P_{t} is not a linear form")
-        if any(c <= 0 for c in P.terms.values()):
+        if any(c <= 0 for c in P.nums.values()):
             raise NotLinearForm(f"P_{t} has a nonpositive coefficient")
     for n in range(1, inst.nvars + 1):
         if not any(P.depends_on(n) for P in inst.Ps):

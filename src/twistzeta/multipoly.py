@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Terms live in a map from exponent tuples to nonzero coefficients; the
-zero polynomial is the empty map.  Values are immutable after
-construction and all operations return new polynomials, so instances can
-be shared freely, hashed, and used as cache keys.
+A polynomial is stored the way CyclotomicElement is: integer numerators
+nums, a map from exponent tuples to nonzero ints, over one denominator
+den > 0 with gcd(den, *nums) == 1; zero is the empty map over 1.  Every
+operation runs on the ints and returns this canonical form, so equal
+polynomials have equal (nums, den).  Fractions appear only in building a
+polynomial from outside input, in the read-only terms view and in the
+value of eval.  Instances are immutable (callers must not mutate nums),
+so they can be shared freely, hashed, and used as cache keys.
 
 Variable indices in the public API are 1-based (X1..XN), matching the
 serialized text form.
@@ -15,7 +19,7 @@ import math
 from typing import Iterable, Mapping
 
 from ._backend import kernels
-from ._rational import ONE, ZERO, Rational, format_rational
+from ._rational import Rational
 from .errors import DimensionMismatch, RestrictionRange
 
 __all__ = [
@@ -42,9 +46,10 @@ def graded_terms(table: Mapping) -> list:
 
 
 class SparsePolynomial:
-    """Polynomial in nvars variables with exact rational coefficients."""
+    """Polynomial in nvars variables with exact rational coefficients,
+    stored as integer numerators nums over one denominator den."""
 
-    __slots__ = ("nvars", "terms", "_hash", "_text", "_ints")
+    __slots__ = ("nvars", "nums", "den", "_hash", "_text")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
@@ -59,39 +64,54 @@ class SparsePolynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be naturals")
-            coef = _coerce(coef)
-            if coef:
-                prev = table.get(exps)
-                if prev is None:
-                    table[exps] = coef
-                else:
-                    s = prev + coef
-                    if s:
-                        table[exps] = s
-                    else:
-                        del table[exps]
+            s = table.get(exps, 0) + _coerce(coef)
+            if s:
+                table[exps] = s
+            else:
+                table.pop(exps, None)
+        # over the lcm of the reduced denominators the numerators already
+        # have no common factor with den
+        den = math.lcm(*(c.denominator for c in table.values()))
         self.nvars = nvars
-        self.terms = table
+        self.nums = {
+            e: c.numerator * (den // c.denominator) for e, c in table.items()
+        }
+        self.den = den
         self._hash = None
         self._text = None
-        self._ints = None
 
-    # Internal fast path: table already canonical, skip validation.
+    # Internal fast path: nums over den already canonical.
     @classmethod
-    def _raw(cls, nvars: int, table: dict) -> "SparsePolynomial":
+    def _raw(cls, nvars: int, nums: dict, den: int = 1) -> "SparsePolynomial":
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = table
+        p.nums = nums
+        p.den = den
         p._hash = None
         p._text = None
-        p._ints = None
         return p
 
     @classmethod
+    def _reduced(cls, nvars: int, nums: dict, den: int) -> "SparsePolynomial":
+        """The canonical polynomial nums/den, for any den > 0."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: c // g for e, c in nums.items()}
+                den //= g
+        return cls._raw(nvars, nums, den)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as exact rationals {exps: Rational}, lowest
+        terms each, in the key order of nums; a new dict on each access."""
+        den = self.den
+        return {e: Rational(c, den) for e, c in self.nums.items()}
+
+    @classmethod
     def constant(cls, nvars: int, value) -> "SparsePolynomial":
-        value = _coerce(value)
-        table = {(0,) * nvars: value} if value else {}
-        return cls._raw(nvars, table)
+        p, q = _coerce(value).as_integer_ratio()
+        return cls._raw(nvars, {(0,) * nvars: p} if p else {}, q)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "SparsePolynomial":
@@ -99,7 +119,7 @@ class SparsePolynomial:
         if not 1 <= index <= nvars:
             raise DimensionMismatch(f"variable index {index} of {nvars}")
         exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls._raw(nvars, {exps: ONE})
+        return cls._raw(nvars, {exps: 1})
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePolynomial":
@@ -107,7 +127,7 @@ class SparsePolynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "SparsePolynomial":
-        return cls.constant(nvars, 1)
+        return cls._raw(nvars, {(0,) * nvars: 1})
 
     # arithmetic
 
@@ -117,40 +137,39 @@ class SparsePolynomial:
                 f"{self.nvars} variables against {other.nvars}"
             )
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other; the keys of self come first, then the new
+        keys of other, each in its own order."""
         if not isinstance(other, SparsePolynomial):
             try:
                 other = SparsePolynomial.constant(self.nvars, other)
             except TypeError:
                 return NotImplemented
         self._check(other)
-        table = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = table.get(e)
-            if prev is None:
-                table[e] = c
+        ad, bd = self.den, other.den
+        g = math.gcd(ad, bd)
+        sa, sb = bd // g, sign * (ad // g)
+        table = {e: c * sa for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            s = table.get(e, 0) + c * sb
+            if s:
+                table[e] = s
             else:
-                s = prev + c
-                if s:
-                    table[e] = s
-                else:
-                    del table[e]
-        return SparsePolynomial._raw(self.nvars, table)
+                del table[e]
+        return SparsePolynomial._reduced(self.nvars, table, ad * sa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
     def __neg__(self):
         return SparsePolynomial._raw(
-            self.nvars, {e: -c for e, c in self.terms.items()}
+            self.nvars, {e: -c for e, c in self.nums.items()}, self.den
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            try:
-                other = SparsePolynomial.constant(self.nvars, other)
-            except TypeError:
-                return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -158,8 +177,10 @@ class SparsePolynomial:
     def __mul__(self, other):
         if isinstance(other, SparsePolynomial):
             self._check(other)
-            return SparsePolynomial._raw(
-                self.nvars, kernels.mul_terms(self.terms, other.terms)
+            return SparsePolynomial._reduced(
+                self.nvars,
+                kernels.mul_terms(self.nums, other.nums),
+                self.den * other.den,
             )
         try:
             q = _coerce(other)
@@ -167,8 +188,11 @@ class SparsePolynomial:
             return NotImplemented
         if not q:
             return SparsePolynomial.zero(self.nvars)
-        return SparsePolynomial._raw(
-            self.nvars, {e: c * q for e, c in self.terms.items()}
+        p = q.numerator
+        return SparsePolynomial._reduced(
+            self.nvars,
+            {e: c * p for e, c in self.nums.items()},
+            self.den * q.denominator,
         )
 
     __rmul__ = __mul__
@@ -199,8 +223,10 @@ class SparsePolynomial:
             raise ValueError("shift entries must be naturals")
         if not any(a):
             return self
+        # the shift is invertible over Z[X], so it keeps the content of
+        # the numerators and the result stays canonical over den
         return SparsePolynomial._raw(
-            self.nvars, kernels.shift_terms(self.terms, a)
+            self.nvars, kernels.shift_terms(self.nums, a), self.den
         )
 
     def delta(self, a: Iterable[int]) -> "SparsePolynomial":
@@ -241,7 +267,7 @@ class SparsePolynomial:
         q = len(kept)
         pos = {i: t for t, i in enumerate(kept)}
         out: dict = {}
-        for exps, coef in self.terms.items():
+        for exps, coef in self.nums.items():
             # multiplier from the fixed coordinates
             for j in comp:
                 e = exps[j - 1]
@@ -253,124 +279,108 @@ class SparsePolynomial:
                 e = exps[i - 1]
                 if e == 0:
                     continue
-                ai = a[i - 1]
-                t = pos[i]
-                base = {}
-                if ai == 0:
-                    mono = tuple(e if s == t else 0 for s in range(q))
-                    base[mono] = ONE
-                else:
-                    for d in range(e + 1):
-                        mono = tuple(d if s == t else 0 for s in range(q))
-                        base[mono] = Rational(
-                            math.comb(e, d) * ai ** (e - d)
-                        )
+                ai, t = a[i - 1], pos[i]
+                # (a_i + d)^e, just d^e when a_i = 0
+                base = {
+                    tuple(d if s == t else 0 for s in range(q)):
+                        math.comb(e, d) * ai ** (e - d)
+                    for d in range(e + 1) if ai or d == e
+                }
                 partial = kernels.mul_terms(partial, base)
             for mono, c in partial.items():
-                prev = out.get(mono)
-                if prev is None:
-                    out[mono] = c
+                s = out.get(mono, 0) + c
+                if s:
+                    out[mono] = s
                 else:
-                    s = prev + c
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return SparsePolynomial._raw(q, out)
+                    del out[mono]
+        return SparsePolynomial._reduced(q, out, self.den)
 
     def eval(self, point: Iterable) -> "Rational":
-        """Exact evaluation at a point of rationals or ints."""
-        point = [
-            x if isinstance(x, Rational) else Rational(x) for x in point
-        ]
+        """Exact evaluation at a point of rationals or ints.
+
+        With x_i = p_i/q_i and D_i the degree in X_i, each term is
+        summed as c prod_i p_i^e_i q_i^(D_i - e_i) over
+        den prod_i q_i^D_i, all in integers."""
+        point = [Rational(x).as_integer_ratio() for x in point]
         if len(point) != self.nvars:
             raise DimensionMismatch("evaluation point length")
-        total = ZERO
-        for exps, coef in self.terms.items():
-            v = coef
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * x**e
-            total += v
-        return total
+        nums = self.nums
+        degs = [max((e[i] for e in nums), default=0) for i in range(self.nvars)]
+        total = 0
+        for exps, c in nums.items():
+            for (p, q), e, D in zip(point, exps, degs):
+                c *= p**e * q ** (D - e)
+            total += c
+        return Rational(
+            total, self.den * math.prod(q**D for (p, q), D in zip(point, degs))
+        )
 
     # structure queries
 
     def total_degree(self):
         """Largest |alpha| over stored terms, NEG_INF for the zero
         polynomial."""
-        if not self.terms:
+        if not self.nums:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def depends_on(self, index: int) -> bool:
         """True when some stored term has a positive exponent of X_index."""
         if not 1 <= index <= self.nvars:
             raise DimensionMismatch(f"variable index {index} of {self.nvars}")
-        return any(e[index - 1] for e in self.terms)
+        return any(e[index - 1] for e in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.nums)
 
     def constant_value(self):
         """The coefficient of X^0 (the value of a constant polynomial)."""
-        return self.terms.get((0,) * self.nvars, ZERO)
+        return Rational(self.nums.get((0,) * self.nvars, 0), self.den)
 
     # canonical form
 
     def sorted_terms(self) -> list:
-        """Terms in descending graded lexicographic order."""
+        """The terms view in descending graded-lex order."""
         return graded_terms(self.terms)
 
     def canonical_text(self) -> str:
         """Deterministic text form, used in cache keys.
 
         Each term prints every variable: 'c*X1^e1*...*XN^eN', terms in
-        descending graded-lex order joined by ' + '; the zero polynomial
-        prints as '0'.  Computed once per polynomial.
+        descending graded-lex order joined by ' + ', each coefficient in
+        lowest terms as 'p' or 'p/q'; the zero polynomial prints as '0'.
+        Computed once per polynomial.
         """
         if self._text is not None:
             return self._text
+        den = self.den
         chunks = []
-        for exps, coef in self.sorted_terms():
+        for exps, c in graded_terms(self.nums):
             vars_part = "*".join(
                 f"X{i + 1}^{e}" for i, e in enumerate(exps)
             )
-            body = format_rational(coef)
+            g = math.gcd(c, den)
+            body = f"{c // g}" if g == den else f"{c // g}/{den // g}"
             chunks.append(f"{body}*{vars_part}" if vars_part else body)
         self._text = " + ".join(chunks) if chunks else "0"
         return self._text
 
-    def int_table(self) -> tuple[dict, int]:
-        """The terms as ({exps: int}, den): integer numerators over den,
-        the least common denominator of the coefficients, keys in the
-        order of terms; gcd(den, *numerators) == 1.  Computed once per
-        polynomial; callers must not mutate the table.
-        """
-        if self._ints is None:
-            terms = self.terms
-            den = math.lcm(*(c.denominator for c in terms.values()))
-            self._ints = (
-                {e: c.numerator * (den // c.denominator)
-                 for e, c in terms.items()},
-                den,
-            )
-        return self._ints
-
     def __eq__(self, other):
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars, self.den, self.nums) == (
+            other.nvars, other.den, other.nums
+        )
 
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(
-                (self.nvars, frozenset(self.terms.items()))
+                (self.nvars, self.den, frozenset(self.nums.items()))
             )
         return self._hash
 

@@ -156,6 +156,10 @@ class TwistVector:
         """The value of mu_n as a Scalar in this vector's mode."""
         return self.single(n).value()
 
+    def power_exponent(self, a: Sequence[int]) -> int:
+        """The exponent e with mu^a = zeta_r^e, exact mode only."""
+        return sum(int(x) * e for x, e in zip(a, self.exponents))
+
     def to_approx(self) -> "TwistVector":
         if self.mode == "approx":
             return self
@@ -368,11 +372,14 @@ def monomial_sum(alpha: Sequence[int], mus: TwistVector) -> Scalar:
 
 
 def mu_power(mus: TwistVector, a: Sequence[int]) -> Scalar:
-    """mu^a = prod_n mu_n^(a_n)."""
+    """mu^a = prod_n mu_n^(a_n); in exact mode zeta_r^e for the exponent
+    e = sum_n a_n e_n of TwistVector.power_exponent."""
     if len(a) != len(mus):
         raise DimensionMismatch(
             f"power tuple of length {len(a)} against {len(mus)} twists"
         )
+    if mus.mode == "exact":
+        return CyclotomicField.get(mus.order).root(mus.power_exponent(a))
     acc = mus.one_scalar()
     for n, e in enumerate(a, start=1):
         e = int(e)

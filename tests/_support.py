@@ -34,12 +34,18 @@ def exponent_pool(N, maxdeg):
     )
 
 
+def fraction_tables(nvars, maxdeg=2, maxterms=4):
+    """Hypothesis strategy: {exps: Fraction} tables with signed
+    fractional coefficients, zero coefficients included."""
+    exps = st.tuples(*[st.integers(0, maxdeg) for _ in range(nvars)])
+    coef = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
+    return st.dictionaries(exps, coef, max_size=maxterms)
+
+
 def fraction_polynomials(nvars, maxdeg=2, maxterms=4):
     """Hypothesis strategy: polynomials with signed fractional
     coefficients, the zero polynomial included."""
-    exps = st.tuples(*[st.integers(0, maxdeg) for _ in range(nvars)])
-    coef = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
-    return st.dictionaries(exps, coef, max_size=maxterms).map(
+    return fraction_tables(nvars, maxdeg, maxterms).map(
         lambda terms: SparsePolynomial(nvars, terms)
     )
 

@@ -287,6 +287,57 @@ def test_closed_route_output_is_pinned(capsys, case):
     assert out == case["stdout"]
 
 
+PROBLEMS_GOLDEN = json.loads(
+    (ROOT / "tests" / "data" / "problems_golden.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    PROBLEMS_GOLDEN,
+    ids=lambda c: " ".join(c["argv"][:2] + c["argv"][-1:]),
+)
+def test_problem_output_is_pinned(capsys, case):
+    # value and table through the recurrence with the default shift, verify
+    # (the abel= residual text) and check, exact and approx, on every
+    # problems/*.json: pins the order of the default route's approx sums
+    argv = [str(ROOT / a) if a.startswith("problems/") else a
+            for a in case["argv"]]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == case["rc"], err
+    assert out == case["stdout"]
+
+
+def test_embed_survives_cancelling_coordinates(tmp_path, capsys):
+    # at r = 360 the exact value at k = 2 has coordinates up to 5e13 that
+    # cancel to a value of modulus 650: the double Horner sum of embed()
+    # lost 1e-4 of it, and verify failed the Abel check on a correct value
+    from twistzeta import special_value
+    from twistzeta.document import ProblemDocument
+
+    doc = tmp_path / "r360.json"
+    doc.write_text(json.dumps({
+        "nvars": 2, "nfactors": 1,
+        "twist": {"mode": "exact", "order": 360, "exponents": [61, 69]},
+        "Q": [{"coef": "-9", "exps": [2, 0]}, {"coef": "5/7", "exps": [0, 0]}],
+        "Ps": [[
+            {"coef": "1", "exps": [1, 0]}, {"coef": "-3/7", "exps": [2, 0]},
+            {"coef": "-1/3", "exps": [1, 1]}, {"coef": "-7/3", "exps": [0, 0]},
+            {"coef": "4/7", "exps": [0, 1]},
+        ]],
+    }))
+    rc, out, err = run_cli(capsys, "verify", str(doc))
+    assert rc == 0, err
+    assert out.splitlines()[-1] == "verify: PASS (3 values, 4 shifts each)"
+    parsed = ProblemDocument.from_json(doc.read_text())
+    exact = special_value(parsed.to_instance("exact"), (2,)).embed()
+    approx = special_value(parsed.to_instance("approx"), (2,))
+    assert abs(exact - approx) <= 1e-9 * abs(approx)
+    assert abs(approx - complex(-144.7122, -638.6608)) < 1e-4
+
+
 def test_cache_file_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     rc, first, _ = run_cli(capsys, "table", HARMONIC, "--max", "4",

@@ -144,8 +144,7 @@ def test_monomial_case_reduces_to_axis_product():
     st.integers(0, 4), st.integers(0, 3),
 )))
 def test_integer_expansion_matches_fraction_product(case):
-    # the expansion runs on integer tables over one denominator; the
-    # Fraction product of SparsePolynomial is the oracle
+    # E is Q times the powers of the factors, in that order
     Q, P1, P2, k1, k2 = case
     want = Q * P1**k1 * P2**k2
     got = expand_numerator(Q, (P1, P2), (k1, k2))
@@ -156,10 +155,13 @@ def test_integer_expansion_matches_fraction_product(case):
 
 
 def test_closed_route_multiplies_no_fraction_polynomials(monkeypatch):
-    # the exact closed route expands E on integer tables and forms A_n(mu)
-    # from one folded root vector: SparsePolynomial.__mul__ and the field
-    # Horner loop stay out of it
+    # polynomials are integer numerators over one denominator: the exact
+    # closed route (E = Q * P^k and A_n(mu) from one folded root vector)
+    # and the engine's step data (shift, delta, restriction, point values
+    # and the products N(X+a) G(v)) do no Fraction arithmetic and no
+    # Horner loop in the field
     from twistzeta import twists
+    from twistzeta.engine import ValueCache
 
     X = SparsePolynomial.variable(1, 1)
     Q = SparsePolynomial.one(1)
@@ -169,14 +171,29 @@ def test_closed_route_multiplies_no_fraction_polynomials(monkeypatch):
         (twists.monomial_sum(alpha, mus), c)
         for alpha, c in (P**40).terms.items()
     )
+    N = SparsePolynomial(
+        2, {(2, 1): rat(3, 4), (0, 1): rat(-5, 6), (0, 0): rat(1, 3)}
+    )
+    factor = SparsePolynomial(2, {(1, 0): rat(1, 2), (0, 1): rat(2, 3),
+                                  (0, 0): 1})
+    a = (2, 1)
+    session = ValueCache()
 
     def refuse(*args):
-        raise AssertionError("Fraction product or Horner on the closed route")
+        raise AssertionError("Fraction arithmetic or Horner on an integer path")
 
-    monkeypatch.setattr(SparsePolynomial, "__mul__", refuse)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, refuse)
     monkeypatch.setattr(twists, "_horner", refuse)
     twists.negapolylog.cache_clear()
     try:
         assert closed_value(Q, (fresh,), (40,), mus) == want
+        ctx = session.context((factor,), TwistVector.exact(4, [1, 3]), a)
+        data = session._step_data(ctx, N.canonical_text(), N)
+        prods = [data.prod(ctx, (v,)) for v in range(4)]
     finally:
+        monkeypatch.undo()
         twists.negapolylog.cache_clear()
+    assert data.shifted == N.shift(a) and data.delta == N.delta(a)
+    assert len(data.restricted) == 3 and len(data.at_points) == 2
+    assert prods == [N.shift(a) * factor.delta(a) ** v for v in range(4)]

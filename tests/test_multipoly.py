@@ -16,7 +16,7 @@ from twistzeta._rational import rat
 from twistzeta.errors import DimensionMismatch, RestrictionRange
 from twistzeta.multipoly import NEG_INF, SparsePolynomial
 
-from _support import fraction_polynomials
+from _support import fraction_tables
 
 
 def poly_strategy(nvars, maxdeg=3, maxterms=5):
@@ -185,15 +185,136 @@ def test_float_coefficients_rejected():
         SparsePolynomial.one(1) * 0.5
 
 
+# A Fraction-dict oracle for the integer representation.  Each helper
+# repeats the loop structure of the operation it checks, so that key
+# order is part of what is compared.
+
+
+def _put(table, e, c):
+    s = table.get(e, 0) + c
+    if s:
+        table[e] = s
+    else:
+        table.pop(e, None)
+
+
+def _fadd(A, B, sign=1):
+    out = dict(A)
+    for e, c in B.items():
+        _put(out, e, sign * c)
+    return out
+
+
+def _fmul(A, B):
+    out = {}
+    for ea, ca in A.items():
+        for eb, cb in B.items():
+            _put(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+    return out
+
+
+def _fpow(A, k, nvars):
+    result, base = {(0,) * nvars: Fraction(1)}, A
+    while k:
+        if k & 1:
+            result = _fmul(result, base)
+        k >>= 1
+        if k:
+            base = _fmul(base, base)
+    return result
+
+
+def _fshift(A, a):
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        out = {}
+        for e, c in A.items():
+            for j in range(e[i], -1, -1):
+                ne = e[:i] + (j,) + e[i + 1:]
+                _put(out, ne, c * math.comb(e[i], j) * ai ** (e[i] - j))
+        A = out
+    return A
+
+
+def _frestrict(A, a, kept, fixed):
+    q = len(kept)
+    unit = [tuple(int(s == t) for s in range(q)) for t in range(q)]
+    out = {}
+    for e, c in A.items():
+        for j, b in fixed.items():
+            c = c * b ** e[j - 1]
+        partial = {(0,) * q: c}
+        for t, i in enumerate(kept):
+            ei, ai = e[i - 1], a[i - 1]
+            if not ei:
+                continue
+            if ai:
+                base = {tuple(d * u for u in unit[t]):
+                        math.comb(ei, d) * ai ** (ei - d)
+                        for d in range(ei + 1)}
+            else:
+                base = {tuple(ei * u for u in unit[t]): 1}
+            partial = _fmul(partial, base)
+        for mono, v in partial.items():
+            _put(out, mono, v)
+    return out
+
+
+def _feval(A, x):
+    return sum(
+        (c * math.prod(Fraction(xi) ** ei for xi, ei in zip(x, e))
+         for e, c in A.items()),
+        Fraction(0),
+    )
+
+
+def _matches(p, table):
+    """p is canonical and its terms equal table, key order included."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert list(p.terms.items()) == list(table.items())
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 3).flatmap(lambda n: fraction_polynomials(n, 3, 5)))
-def test_int_table_round_trips(p):
-    nums, den = p.int_table()
-    assert den > 0 and type(den) is int
-    assert all(type(c) is int and c for c in nums.values())
-    assert math.gcd(den, *nums.values()) == 1
-    assert list(nums) == list(p.terms)
-    assert SparsePolynomial(
-        p.nvars, {e: Fraction(c, den) for e, c in nums.items()}
-    ) == p
-    assert p.int_table() is p.int_table()
+@given(st.data())
+def test_integer_representation_matches_fraction_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    tables = [data.draw(fraction_tables(n, 3, 5)) for _ in range(2)]
+    A, B = ({e: c for e, c in t.items() if c} for t in tables)
+    P, R = (SparsePolynomial(n, t) for t in tables)
+    _matches(P, A)
+    _matches(R, B)
+    _matches(P + R, _fadd(A, B))
+    _matches(P - R, _fadd(A, B, -1))
+    _matches(-P, {e: -c for e, c in A.items()})
+    _matches(P * R, _fmul(A, B))
+    k = data.draw(st.integers(0, 4))
+    _matches(P**k, _fpow(A, k, n))
+    a = data.draw(st.tuples(*[st.integers(0, 3)] * n))
+    _matches(P.shift(a), _fshift(A, a))
+    _matches(P.delta(a), _fadd(_fshift(A, a), A, -1))
+    ra = tuple(x or 1 for x in a)
+    kept = data.draw(
+        st.lists(st.integers(1, n), min_size=1, unique=True).map(sorted)
+    )
+    fixed = {
+        j: data.draw(st.integers(1, ra[j - 1]))
+        for j in range(1, n + 1) if j not in kept
+    }
+    _matches(P.restrict(ra, kept, fixed), _frestrict(A, ra, kept, fixed))
+    x = data.draw(st.tuples(*[st.builds(rat, st.integers(-4, 4),
+                                        st.integers(1, 3))] * n))
+    assert P.eval(x) == _feval(A, x)
+    assert type(P.eval(x)) is Fraction
+
+
+def test_factors_cancelling_into_den_leave_canonical_results():
+    X = SparsePolynomial.variable(1, 1)
+    square = (X * rat(1, 2)) * (X * 2)
+    assert (square.nums, square.den) == ({(2,): 1}, 1)
+    half = SparsePolynomial(2, {(1, 0): rat(1, 2)})
+    at_two = half.restrict((2, 0), (2,), {1: 2})
+    assert (at_two.nums, at_two.den) == ({(0,): 1}, 1)
+    assert (half - half).den == 1 and (half - half).is_zero

@@ -116,6 +116,34 @@ def test_mu_power():
     assert mu_power(mus, (0, 0)) == field.one
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 60, 360])
+def test_exact_mu_power_is_the_product_of_twist_powers(r):
+    # root(e) is one folded slot and exact mu_power adds exponents; both
+    # must match field products of the generator z = zeta_r
+    import random
+
+    from twistzeta.cyclotomic import CyclotomicElement
+
+    field = CyclotomicField.get(r)
+    if r <= 2:
+        z = field.constant(1 if r == 1 else -1)
+    else:
+        z = CyclotomicElement(field, (0, 1) + (0,) * (field.degree - 2), 1)
+    for e in range(-r, 2 * r + 1, max(1, r // 24)):
+        assert field.root(e) == z ** (e % r), e
+    if r == 1:
+        return  # zeta_1 = 1 is no twist
+    rng = random.Random(r)
+    for _ in range(8):
+        N = rng.randint(1, 3)
+        mus = TwistVector.exact(r, [rng.randint(1, r - 1) for _ in range(N)])
+        a = tuple(rng.randint(0, 5) for _ in range(N))
+        want = field.one
+        for n, an in enumerate(a, start=1):
+            want = want * mus.mu(n) ** an
+        assert mu_power(mus, a) == want, (mus, a)
+
+
 def test_unit_twists_are_rejected():
     with pytest.raises(TwistIsOne):
         TwistVector.exact(2, [0])
