@@ -101,7 +101,13 @@ def _cache_load(path: Optional[str], session: ValueCache, mode: str) -> None:
         if not isinstance(raw, dict):
             raise ValueError("the cache must be a JSON object")
         for key, entry in raw.items():
-            field = CyclotomicField.get(int(entry["order"]))
+            order = int(entry["order"])
+            if ValueCache.key_order(key) != order:
+                raise ValueError(
+                    f"an entry of order {order} under a key of another "
+                    f"twist order"
+                )
+            field = CyclotomicField.get(order)
             coords = [parse_rational(c) for c in entry["coords"]]
             session.values[key] = field.element(coords)
     except (

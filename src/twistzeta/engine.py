@@ -410,6 +410,29 @@ class _Point:
         return self.mus.scale(self.mu_b, pw if nb == 1 else nb * pw)
 
 
+def _binomial_row(n: int) -> list[int]:
+    """[C(n, 0), ..., C(n, n)], each entry from the one before by
+    C(n, j) = C(n, j-1) (n-j+1) / j."""
+    row = [1]
+    c = 1
+    for j in range(1, n + 1):
+        c = c * (n - j + 1) // j
+        row.append(c)
+    return row
+
+
+def _check_descent(N: int, groups: list, parent) -> None:
+    """Assert (N, |u|, deg p) < parent for every group (p, u, w) with p
+    nonzero; the degree is computed only when (N, |u|) ties with the
+    parent, that is for the Delta_a N group."""
+    head = parent[:2]
+    for p, u, w in groups:
+        if p.nums and (N, sum(u)) >= head:
+            assert (N, sum(u)) == head and p.total_degree() < parent[2], (
+                "recursion metric failed to decrease"
+            )
+
+
 class ValueCache:
     """Evaluation session: canonical-key memo plus recursion tables.
 
@@ -433,6 +456,13 @@ class ValueCache:
     def value_key(inst: ZetaInstance, k: tuple[int, ...]) -> str:
         ks = ",".join(str(x) for x in k)
         return f"{inst.canonical_text()};k={ks}"
+
+    @staticmethod
+    def key_order(key: str) -> int | None:
+        """The twist order r that a value_key of exact twists names, None
+        for any other key."""
+        _, sep, rest = key.partition(";mu=")
+        return TwistVector.order_of_text(rest) if sep else None
 
     def _shift(self, mus: TwistVector, text: str, a: tuple | None):
         """(a, mu^a, 1/(1 - mu^a)) for the twists mus with canonical text
@@ -508,29 +538,31 @@ class ValueCache:
     # recursion ------------------------------------------------------
 
     def _index_terms(self, k: tuple[int, ...]):
-        """Yield (u, v, weight) with u + v = k, u != k, and the
+        """An iterator of (u, v, weight) with u + v = k, u != k, and the
         multinomial weight prod_t C(k_t, u_t) = prod_t C(k_t, v_t).
 
-        The residual convention enumerates by the surviving argument u,
-        the consumed convention by the difference exponent v; both
-        cover the same terms.
+        The residual convention enumerates u in lexicographic order, the
+        consumed convention v; both cover the same terms, and approx mode
+        sums them in this order.  v = k - u runs through the reversed
+        ranges in step with u, and each weight is a product of entries of
+        the rows C(k_t, 0..k_t), built once per step, so no term computes
+        a binomial.
         """
-        ranges = [range(x + 1) for x in k]
+        ups = [range(x + 1) for x in k]
+        downs = [range(x, -1, -1) for x in k]
+        rows = [_binomial_row(x) for x in k]
+        weights = map(math.prod, itertools.product(*rows))
         if self.index_form == "residual":
-            for u in itertools.product(*ranges):
-                if u == k:
-                    continue
-                v = tuple(x - y for x, y in zip(k, u))
-                w = math.prod(map(math.comb, k, u))
-                yield u, v, w
-        else:
-            zero = (0,) * len(k)
-            for v in itertools.product(*ranges):
-                if v == zero:
-                    continue
-                u = tuple(x - y for x, y in zip(k, v))
-                w = math.prod(map(math.comb, k, v))
-                yield u, v, w
+            # u = k comes last
+            terms = zip(
+                itertools.product(*ups), itertools.product(*downs), weights
+            )
+            return itertools.islice(terms, math.prod(map(len, ups)) - 1)
+        # v = 0 comes first
+        terms = zip(
+            itertools.product(*downs), itertools.product(*ups), weights
+        )
+        return itertools.islice(terms, 1, None)
 
     def _step(self, ctx: _Context, data: _Step, k, inner: _Context, parent):
         """One application of the relation: Z(N; -k) from the step data
@@ -550,14 +582,14 @@ class ValueCache:
         return ctx.inv1ma * total
 
     def _V(self, ctx: _Context, alpha, k, parent=None) -> Scalar:
-        if __debug__ and parent is not None:
-            assert (ctx.N, sum(k), sum(alpha)) < parent, (
-                "recursion metric failed to decrease"
-            )
         key = (alpha, k)
         hit = ctx.V.get(key)
         if hit is not None:
             return hit
+        if __debug__ and parent is not None:
+            assert (ctx.N, sum(k), sum(alpha)) < parent, (
+                "recursion metric failed to decrease"
+            )
         data = self._step_data(ctx, alpha)
         value = self._step(ctx, data, k, ctx, (ctx.N, sum(k), sum(alpha)))
         ctx.V[key] = value
@@ -567,20 +599,29 @@ class ValueCache:
         """sum over groups (polynomial, u, w) of w * resolve(polynomial, u),
         where w None means a plain sum.
 
-        Exact mode fuses every group into one linear combination over the
-        least common denominator; approx mode keeps one combination per
-        group, scaled by w and summed in order."""
-        V = self._V
+        Every group is checked once against the recursion metric: (N,
+        |u|, deg polynomial) < parent, so a cached V entry cannot hide a
+        step that fails to descend.  Exact mode then fuses every group
+        into one linear combination over the least common denominator,
+        reading the V table directly and stepping only on a miss; approx
+        mode keeps one combination per group, scaled by w and summed in
+        order."""
+        if __debug__ and parent is not None:
+            _check_descent(ctx.N, groups, parent)
         if ctx.mus.mode == "exact":
-            lcd = math.lcm(*(p.den for p, u, w in groups if p.nums))
+            # zero polynomials are stored over 1
+            lcd = math.lcm(*{p.den for p, u, w in groups})
+            table = ctx.V
             pairs = []
+            append = pairs.append
             for p, u, w in groups:
                 if p.nums:
                     m = lcd // p.den if w is None else w * (lcd // p.den)
-                    pairs.extend(
-                        (V(ctx, alpha, u, parent), c * m)
-                        for alpha, c in p.nums.items()
-                    )
+                    for alpha, c in p.nums.items():
+                        value = table.get((alpha, u))
+                        if value is None:
+                            value = self._V(ctx, alpha, u, parent)
+                        append((value, c * m))
             return ctx.mus.lincomb(pairs, lcd)
         acc = ctx.zero
         for p, u, w in groups:

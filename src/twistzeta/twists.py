@@ -212,6 +212,15 @@ class TwistVector:
                 acc = acc + s * float(c / den)
         return acc
 
+    @staticmethod
+    def order_of_text(text: str) -> int | None:
+        """The common order r when text begins with the canonical text of
+        exact twists, None for any other text."""
+        head, sep, _ = text.partition(";e=")
+        if sep and head.startswith("zeta(r=") and head[7:].isdecimal():
+            return int(head[7:])
+        return None
+
     def canonical_text(self) -> str:
         if self.mode == "exact":
             es = ",".join(

@@ -364,6 +364,25 @@ def test_corrupt_cache_is_reset_with_a_warning(tmp_path, capsys):
     json.loads(cache.read_text())  # rewritten with valid content
 
 
+def test_cache_entry_in_another_field_is_ignored(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    argv = ("value", LINEAR, "1", "--method", "recurrence",
+            "--cache", str(cache))
+    rc, first, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    payload = json.loads(cache.read_text())
+    (key,) = [key for key in payload if key.endswith(";k=1")]
+    assert ";mu=zeta(r=2;" in key and payload[key]["order"] == 2
+    payload[key] = {"order": 3, "coords": ["5", "7"]}
+    cache.write_text(json.dumps(payload))
+    rc, second, err = run_cli(capsys, *argv)
+    assert rc == 0
+    assert err.startswith(f"warning: ignoring cache {cache}")
+    assert second == first
+    assert "exact=[5,7]" not in second
+    assert json.loads(cache.read_text())[key]["order"] == 2
+
+
 def test_stdin_document(capsys, monkeypatch):
     text = Path(HARMONIC).read_text()
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

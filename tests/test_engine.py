@@ -7,6 +7,7 @@ cases.
 """
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -608,3 +609,80 @@ def test_exact_hot_paths_need_no_euclid_inverse(monkeypatch):
         CyclotomicField.get(60), "_one_minus_root_powers", {}
     )
     assert values() == want
+
+
+def _reference_index_terms(index_form, k):
+    """The (u, v, weight) enumeration with each weight a product of
+    math.comb calls."""
+    ranges = [range(x + 1) for x in k]
+    for w in itertools.product(*ranges):
+        if index_form == "residual":
+            if w == k:
+                continue
+            u, v = w, tuple(x - y for x, y in zip(k, w))
+        else:
+            if not any(w):
+                continue
+            u, v = tuple(x - y for x, y in zip(k, w)), w
+        yield u, v, math.prod(map(math.comb, k, u))
+
+
+@pytest.mark.parametrize("index_form", ["residual", "consumed"])
+@pytest.mark.parametrize("k", [
+    (0,), (1,), (7,), (40,),
+    (0, 0), (0, 3), (4, 0), (2, 5), (9, 6),
+    (0, 0, 0), (2, 0, 1), (1, 3, 2), (5, 4, 6),
+])
+def test_index_terms_match_binomial_reference(index_form, k):
+    got = list(ValueCache(index_form)._index_terms(k))
+    assert got == list(_reference_index_terms(index_form, k))
+    assert all(type(w) is int for _, _, w in got)
+
+
+def test_metric_check_fires_on_cached_entries(monkeypatch):
+    # Delta_a N is replaced, for N = X1^2 only, by X1 X2: same degree as
+    # N at the same k.  Its V entry is cached by the first query, so
+    # only the per-group check in _combine can catch the bad step.
+    from twistzeta import engine
+
+    X1 = SparsePolynomial.variable(2, 1)
+    X2 = SparsePolynomial.variable(2, 2)
+    mus = TwistVector.exact(2, [1, 1])
+    session = ValueCache()
+    cross = ZetaInstance(X1 * X2, (X1 + X2,), mus)
+    special_value(cross, (0,), cache=session)
+    ctx = session.context(cross.Ps, mus)
+    assert ((1, 1), (0,)) in ctx.V and (2, 0) not in ctx.steps
+
+    init = engine._Step.__init__
+
+    def bad_init(self, ctx, numerator):
+        init(self, ctx, numerator)
+        if numerator == X1 * X1:
+            self.delta = X1 * X2
+
+    monkeypatch.setattr(engine._Step, "__init__", bad_init)
+    square = ZetaInstance(X1 * X1, (X1 + X2,), mus)
+    with pytest.raises(AssertionError, match="recursion metric failed"):
+        special_value(square, (0,), cache=session)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6, 12, 60, 360])
+def test_key_order_reads_the_order_value_key_writes(r):
+    # the CLI cache refuses an entry whose field order differs from the
+    # order its key names; a value written under its own key must pass
+    X = SparsePolynomial.variable(2, 1)
+    Y = SparsePolynomial.variable(2, 2)
+    one = SparsePolynomial.one(2)
+    mus = TwistVector.exact(r, [1, r - 1])
+    inst = ZetaInstance(X + one, (X * 2 + Y + one,), mus)
+    session = ValueCache()
+    value = special_value(inst, (2,), cache=session)
+    (key,) = session.values
+    assert key == ValueCache.value_key(inst, (2,))
+    assert ValueCache.key_order(key) == value.field.order == r
+    approx = ZetaInstance(X + one, inst.Ps, inst.mus.to_approx())
+    assert ValueCache.key_order(ValueCache.value_key(approx, (2,))) is None
+    for text in ("", key[: key.index(";mu=")], "mu=zeta(r=3;e=1)",
+                 key.replace(f"zeta(r={r};", "zeta(r=x;")):
+        assert ValueCache.key_order(text) is None, text
