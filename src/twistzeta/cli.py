@@ -12,6 +12,7 @@ methods disagree, 4 engine errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -135,10 +136,17 @@ def _cache_save(path: Optional[str], session: ValueCache, mode: str) -> None:
             "coords": [format_rational(c) for c in value.coords],
         }
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ValueError(
+            f"cannot write cache {path}: {exc.strerror or exc}"
+        ) from None
 
 
 # value records -------------------------------------------------------

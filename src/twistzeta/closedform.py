@@ -9,6 +9,12 @@ a formal identity in the coefficients.  This route never touches the
 recurrence machinery, so it serves as an independent oracle for it.
 E is a product of SparsePolynomials, so it runs on integer numerators
 over one denominator and closed_value reads E's stored table.
+
+The sum is separable, so exact mode contracts it one variable at a
+time against the rows zeta_{mu_n}(-j): the last variable by one integer
+lincomb per exponent prefix, each earlier one by one field product per
+prefix, and E's denominator divides once at the end.  Approx mode sums
+monomial by monomial in graded order instead, which fixes its doubles.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .cyclotomic import CyclotomicField
 from .errors import DimensionMismatch
 from .multipoly import SparsePolynomial, graded_terms
-from .twists import Scalar, TwistVector, monomial_sum
+from .twists import Scalar, TwistVector, monomial_sum, negapolylog
 
 __all__ = ["closed_value", "expand_numerator"]
 
@@ -48,13 +55,43 @@ def closed_value(
     k: Sequence[int],
     mus: TwistVector,
 ) -> Scalar:
-    """Z(Q; P_1..P_T; mu; -k) by the separable closed formula."""
+    """Z(Q; P_1..P_T; mu; -k) by the separable closed formula.
+
+    Exact mode groups E's numerators by exponent prefix and sums each
+    group's last variable in one CyclotomicField.lincomb over the values
+    zeta_{mu_N}(-a_N) with the integer numerators as weights; contracting
+    variable n < N then costs one field product zeta_{mu_n}(-a_n) times
+    the inner sum per distinct prefix (a_1..a_n), so N = 1 makes none.
+    Approx mode sums prod_n zeta_{mu_n}(-alpha_n) monomial by monomial in
+    descending graded order.
+
+    >>> from twistzeta import TwistVector
+    >>> one, X = SparsePolynomial.one(1), SparsePolynomial.variable(1, 1)
+    >>> closed_value(one, (X,), (1,), TwistVector.exact(2, [1]))
+    <Q(zeta_2): -1/4>
+    """
     if Q.nvars != len(mus):
         raise DimensionMismatch(
             f"{Q.nvars} variables against {len(mus)} twists"
         )
     E = expand_numerator(Q, Ps, k)
-    return mus.lincomb(
-        ((monomial_sum(alpha, mus), c) for alpha, c in graded_terms(E.nums)),
-        E.den,
-    )
+    if mus.mode != "exact":
+        return mus.lincomb(
+            ((monomial_sum(alpha, mus), c)
+             for alpha, c in graded_terms(E.nums)),
+            E.den,
+        )
+    field = CyclotomicField.get(mus.order)
+    nvars = len(mus)
+    level = E.nums  # prefix -> int numerator, then -> field element
+    for n in range(nvars, 0, -1):
+        mu = mus.single(n)
+        groups: dict = {}
+        for alpha, c in level.items():
+            x = negapolylog(alpha[-1], mu)
+            groups.setdefault(alpha[:-1], []).append(
+                (x, c) if n == nvars else (x * c, 1)
+            )
+        den = E.den if n == 1 else 1
+        level = {p: field.lincomb(pairs, den) for p, pairs in groups.items()}
+    return level.get((), field.zero)

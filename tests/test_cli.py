@@ -383,6 +383,25 @@ def test_cache_entry_in_another_field_is_ignored(tmp_path, capsys):
     assert json.loads(cache.read_text())[key]["order"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("value", LINEAR, "1"),
+    ("table", HARMONIC, "--max", "2"),
+    ("verify", HARMONIC, "--max", "1"),
+])
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_cache_exits_2(tmp_path, capsys, argv, where):
+    if where == "directory":
+        cache = tmp_path / "cache.json"
+        cache.mkdir()
+    else:
+        cache = tmp_path / "missing" / "cache.json"
+    before = sorted(tmp_path.iterdir())
+    rc, _, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert rc == 2
+    assert err.splitlines()[-1].startswith(f"error: cannot write cache {cache}")
+    assert sorted(tmp_path.iterdir()) == before  # no cache.json.tmp left
+
+
 def test_stdin_document(capsys, monkeypatch):
     text = Path(HARMONIC).read_text()
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

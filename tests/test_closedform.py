@@ -10,7 +10,8 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistzeta import TwistVector
@@ -197,3 +198,83 @@ def test_closed_route_multiplies_no_fraction_polynomials(monkeypatch):
     assert data.shifted == N.shift(a) and data.delta == N.delta(a)
     assert len(data.restricted) == 3 and len(data.at_points) == 2
     assert prods == [N.shift(a) * factor.delta(a) ** v for v in range(4)]
+
+
+_ORDERS = (2, 3, 4, 5, 6, 12, 60)
+
+
+@st.composite
+def _closed_cases(draw):
+    N = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 2))
+    r = draw(st.sampled_from(_ORDERS))
+    mus = TwistVector.exact(
+        r, [draw(st.integers(1, r - 1)) for _ in range(N)]
+    )
+    Q = draw(fraction_polynomials(N))
+    Ps = tuple(draw(fraction_polynomials(N)) for _ in range(T))
+    k = tuple(draw(st.integers(0, 3)) for _ in range(T))
+    return Q, Ps, k, mus
+
+
+def _per_monomial(Q, Ps, k, mus):
+    from twistzeta.twists import monomial_sum
+
+    E = expand_numerator(Q, Ps, k)
+    return mus.lincomb(
+        (monomial_sum(alpha, mus), c) for alpha, c in E.terms.items()
+    )
+
+
+_X = SparsePolynomial.variable(2, 1)
+_Y = SparsePolynomial.variable(2, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_closed_cases())
+@example((_X * rat(3, 4) + _Y * rat(-5, 6) + rat(1, 3), (_X + _Y * 2,), (2,),
+          TwistVector.exact(12, [5, 7])))  # den != 1
+@example((SparsePolynomial.zero(2), (_X + 1,), (2,),
+          TwistVector.exact(5, [1, 2])))  # Q = 0
+@example((_X + 1, (_Y, SparsePolynomial.zero(2)), (1, 2),
+          TwistVector.exact(60, [7, 11])))  # E = Q * Y * 0^2 = 0
+def test_contraction_equals_the_per_monomial_sum(case):
+    Q, Ps, k, mus = case
+    assert closed_value(Q, Ps, k, mus) == _per_monomial(Q, Ps, k, mus)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_contraction_costs_one_product_per_prefix(monkeypatch, N):
+    # the last variable is summed by an integer lincomb, so the field
+    # products are one per distinct exponent prefix (a_1..a_n), n < N:
+    # for N = 2 the distinct first-variable exponents of E, for N = 1 none
+    from twistzeta import closedform, twists
+    from twistzeta.cyclotomic import CyclotomicElement
+
+    X = [SparsePolynomial.variable(N, i) for i in range(1, N + 1)]
+    Q = X[0] * rat(2, 3) + 1
+    P = sum(X[1:], X[0] * 3) + rat(1, 5)
+    k = (4,)
+    mus = TwistVector.exact(5, range(1, N + 1))
+    want = _per_monomial(Q, (P,), k, mus)  # fills the negapolylog rows
+    E = expand_numerator(Q, (P,), k)
+    prefixes = {alpha[:n] for alpha in E.nums for n in range(1, N)}
+
+    products = []
+    mul = CyclotomicElement.__mul__
+
+    def counted(self, other):
+        if isinstance(other, CyclotomicElement):
+            products.append(1)
+        return mul(self, other)
+
+    def refuse(*args):
+        raise AssertionError("monomial_sum on the exact closed route")
+
+    monkeypatch.setattr(CyclotomicElement, "__mul__", counted)
+    monkeypatch.setattr(closedform, "monomial_sum", refuse)
+    monkeypatch.setattr(twists, "monomial_sum", refuse)
+    got = closed_value(Q, (P,), k, mus)
+    monkeypatch.undo()
+    assert got == want
+    assert len(products) == len(prefixes)
