@@ -17,7 +17,6 @@ shrinks with min_n |1 - mu_n|, so the j move up for twists near 1.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 from ._backend import kernels
@@ -25,20 +24,24 @@ from .closedform import expand_numerator
 from .engine import ZetaInstance, _as_k
 from .errors import EngineError
 from .multipoly import SparsePolynomial, graded_terms
+from .twists import _grow_rows
 
 __all__ = ["abel_estimate", "abel_richardson", "richardson"]
 
 
-@lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple[int, ...]:
-    """Stirling set numbers S(n, 0..n)."""
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
+def _next_stirling_row(prev: tuple, n: int) -> tuple:
     row = [0] * (n + 1)
     for j in range(1, n + 1):
         row[j] = j * (prev[j] if j < n else 0) + prev[j - 1]
     return tuple(row)
+
+
+_STIRLING_ROWS = {0: (1,)}
+
+
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """Stirling set numbers S(n, 0..n)."""
+    return _grow_rows(_STIRLING_ROWS, n, _next_stirling_row)
 
 
 def _li_neg(d: int, w: complex) -> complex:

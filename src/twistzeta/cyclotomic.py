@@ -111,7 +111,7 @@ class CyclotomicField:
         "order",
         "degree",
         "modulus",
-        "reduction_rows",
+        "taps",
         "_root",
         "_one_minus_root_powers",
     )
@@ -124,26 +124,11 @@ class CyclotomicField:
         self.order = order
         self.degree = phi
         self.modulus = modulus
-        self.reduction_rows = self._build_rows(modulus, phi)
+        # the reduction data of kernels.cyclo_fold and cyclo_mul
+        self.taps = tuple((t, c) for t, c in enumerate(modulus[:phi]) if c)
         self._root = cmath.exp(2j * math.pi / order)
         # e -> [1, x, x^2, ...] with x = 1/(1 - zeta_r^e), grown on demand
         self._one_minus_root_powers: dict = {}
-
-    @staticmethod
-    def _build_rows(modulus: tuple[int, ...], phi: int) -> tuple:
-        # rows[j] = integer coordinates of z^(phi+j), for j = 0..phi-2;
-        # a product of two reduced elements never needs more.
-        rows = []
-        row = [-c for c in modulus[:phi]]
-        rows.append(tuple(row))
-        for _ in range(phi - 2):
-            top = row[phi - 1]
-            row = [0] + row[: phi - 1]
-            if top:
-                first = rows[0]
-                row = [row[i] + top * first[i] for i in range(phi)]
-            rows.append(tuple(row))
-        return tuple(rows)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -246,7 +231,8 @@ class CyclotomicField:
         vec = [0] * r
         for j in range(1, r):
             vec[e * j % r] -= j
-        return _reduced(self, self._fold(vec), r)
+        num = kernels.cyclo_fold(vec, self.degree, self.taps)
+        return _reduced(self, num, r)
 
     def root_sum(self, coeffs, e: int) -> "CyclotomicElement":
         """sum_i c_i zeta_r^(e i) for integer coefficients c_0, c_1, ...
@@ -264,21 +250,9 @@ class CyclotomicField:
             slot += e
             if slot >= r:
                 slot -= r
-        return CyclotomicElement(self, self._fold(vec), 1)
-
-    def _fold(self, vec: list) -> tuple:
-        """The reduced coordinates of sum_i vec[i] zeta_r^i, for an
-        integer vector of length r; vec is consumed."""
-        phi, modulus = self.degree, self.modulus
-        # long division by the monic modulus, from the top coefficient
-        taps = [(t, c) for t, c in enumerate(modulus[:phi]) if c]
-        for i in range(len(vec) - 1, phi - 1, -1):
-            c = vec[i]
-            if c:
-                base = i - phi
-                for t, m in taps:
-                    vec[base + t] -= c * m
-        return tuple(vec[:phi])
+        return CyclotomicElement(
+            self, kernels.cyclo_fold(vec, self.degree, self.taps), 1
+        )
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"
@@ -455,7 +429,7 @@ class CyclotomicElement:
                 raise FieldMismatch(
                     f"orders {field.order} and {other.field.order}"
                 )
-            num = kernels.cyclo_mul(self.num, other.num, field.reduction_rows)
+            num = kernels.cyclo_mul(self.num, other.num, field.taps)
             return _reduced(field, num, self.den * other.den)
         pq = _ratio(other)
         if pq is None:

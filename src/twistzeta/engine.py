@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -309,6 +310,7 @@ class _Context:
         "steps",
         "restricted",
         "points",
+        "mul",
         "_g",
     )
 
@@ -332,6 +334,12 @@ class _Context:
         # the boundary pieces, built with the first step data
         self.restricted = None
         self.points = None
+        # approx mode sums V over the terms of these products in key
+        # order, so it keeps the schoolbook order of every product
+        if mus.mode == "exact":
+            self.mul = operator.mul
+        else:
+            self.mul = SparsePolynomial.mul_ordered
         self._g = {(0,) * self.T: SparsePolynomial.one(self.N)}
 
     def G(self, v: tuple[int, ...]) -> SparsePolynomial:
@@ -349,7 +357,7 @@ class _Context:
         g = memo[v]
         for v in reversed(chain):
             t = next(i for i, x in enumerate(v) if x)
-            g = g * self.deltas[t]
+            g = self.mul(g, self.deltas[t])
             memo[v] = g
         return g
 
@@ -376,7 +384,7 @@ class _Step:
         """N(X+a) * G(v), for the context ctx that holds this step data."""
         hit = self._prod.get(v)
         if hit is None:
-            hit = self.shifted * ctx.G(v) if any(v) else self.shifted
+            hit = ctx.mul(self.shifted, ctx.G(v)) if any(v) else self.shifted
             self._prod[v] = hit
         return hit
 

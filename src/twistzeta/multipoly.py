@@ -197,11 +197,26 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
+    def mul_ordered(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        """self * other with its terms in the schoolbook's order, the
+        order in which the distributive loop first meets each exponent,
+        at every size (a large product otherwise comes out in ascending
+        order); for callers whose floating-point sums follow that order.
+        """
+        self._check(other)
+        return SparsePolynomial._reduced(
+            self.nvars,
+            kernels.mul_terms(self.nums, other.nums, ordered=True),
+            self.den * other.den,
+        )
+
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("polynomial powers must be naturals")
+        if k == 1:
+            return self
         result = SparsePolynomial.one(self.nvars)
         base = self
         while k:

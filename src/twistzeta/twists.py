@@ -231,18 +231,17 @@ class TwistVector:
         return f"angles({ts})"
 
 
-@functools.lru_cache(maxsize=None)
-def operator_numerator(n: int) -> tuple[int, ...]:
-    """Coefficients of A_n, low degree first, where applying z d/dz n
-    times to z/(1-z) equals A_n(z) / (1-z)^(n+1).
+def _grow_rows(rows: dict, n: int, step) -> tuple:
+    """rows[n] of a table whose keys run without gaps from its first one,
+    each missing row m computed as step(rows[m - 1], m) upward from the
+    largest row held: a deep first call costs no stack."""
+    for m in range(next(iter(rows)) + len(rows), n + 1):
+        rows[m] = step(rows[m - 1], m)
+    return rows[n]
 
-    A_0 = z and A_{n+1}(z) = z * ((1-z) A_n'(z) + (n+1) A_n(z)).
-    """
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    if n == 0:
-        return (0, 1)
-    prev = operator_numerator(n - 1)
+
+def _next_operator_row(prev: tuple, n: int) -> tuple:
+    """A_n from A_(n-1)."""
     deriv = [i * c for i, c in enumerate(prev)][1:]
     # (1-z) * deriv
     work = [0] * (len(prev) + 1)
@@ -257,7 +256,33 @@ def operator_numerator(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+_OPERATOR_ROWS = {0: (0, 1)}
+
+
+def operator_numerator(n: int) -> tuple[int, ...]:
+    """Coefficients of A_n, low degree first, where applying z d/dz n
+    times to z/(1-z) equals A_n(z) / (1-z)^(n+1).
+
+    A_0 = z and A_{n+1}(z) = z * ((1-z) A_n'(z) + (n+1) A_n(z)).
+    """
+    if n < 0:
+        raise ValueError("n must be a natural number")
+    return _grow_rows(_OPERATOR_ROWS, n, _next_operator_row)
+
+
+def _next_eulerian_row(prev: tuple, n: int) -> tuple:
+    """Row n of the Eulerian triangle from row n - 1."""
+    row = []
+    for j in range(n):
+        left = prev[j] if j < len(prev) else 0
+        right = prev[j - 1] if j >= 1 else 0
+        row.append((j + 1) * left + (n - j) * right)
+    return tuple(row)
+
+
+_EULERIAN_ROWS = {1: (1,)}
+
+
 def eulerian_row(n: int) -> tuple[int, ...]:
     """Row n of the Eulerian triangle, entries <n over j> for j = 0..n-1.
 
@@ -266,15 +291,7 @@ def eulerian_row(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("the triangle starts at n = 1")
-    if n == 1:
-        return (1,)
-    prev = eulerian_row(n - 1)
-    row = []
-    for j in range(n):
-        left = prev[j] if j < len(prev) else 0
-        right = prev[j - 1] if j >= 1 else 0
-        row.append((j + 1) * left + (n - j) * right)
-    return tuple(row)
+    return _grow_rows(_EULERIAN_ROWS, n, _next_eulerian_row)
 
 
 def _horner(coeffs: Sequence[int], z: Scalar, one: Scalar) -> Scalar:

@@ -510,6 +510,41 @@ def test_cache_that_is_not_an_object_is_ignored(tmp_path, capsys, payload):
     assert out.startswith("k=2 exact=[0]")
 
 
+def test_value_at_large_k_exits_cleanly(tmp_path):
+    # the closed route's tables A_n used to be filled by recursion, one
+    # frame per n, and a fresh process raised RecursionError near n = 450.
+    # 3X + 2 at k = 500 and 1500 has no double form, so exit 4 is the
+    # clean outcome; the four runs share the wall clock.
+    doc = tmp_path / "linear.json"
+    doc.write_text(json.dumps({
+        "nvars": 1, "nfactors": 1,
+        "twist": {"mode": "exact", "order": 3, "exponents": [1]},
+        "Q": [{"coef": "1", "exps": [0]}],
+        "Ps": [[{"coef": "3", "exps": [1]}, {"coef": "2", "exps": [0]}]],
+    }))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cases = [(k, method) for k in ("500", "1500")
+             for method in ("closed", "both")]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "twistzeta.cli", "value", str(doc), k,
+             "--method", method],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        for k, method in cases
+    ]
+    try:
+        for case, proc in zip(cases, procs):
+            _, err = proc.communicate(timeout=600)
+            assert proc.returncode in (0, 4), (case, err)
+            assert "Traceback" not in err, case
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+
+
 def _script_argv():
     exe = shutil.which("twistzeta")
     if exe:

@@ -32,6 +32,7 @@ from twistzeta import (
     quadratic_special_value,
     special_value,
 )
+from twistzeta import _kernels_py
 from twistzeta._rational import rat
 from twistzeta.closedform import closed_value
 from twistzeta.cyclotomic import CyclotomicElement, CyclotomicField
@@ -686,3 +687,56 @@ def test_key_order_reads_the_order_value_key_writes(r):
     for text in ("", key[: key.index(";mu=")], "mu=zeta(r=3;e=1)",
                  key.replace(f"zeta(r={r};", "zeta(r=x;")):
         assert ValueCache.key_order(text) is None, text
+
+
+def test_products_above_the_packed_threshold_keep_every_value(monkeypatch):
+    # approx mode sums V over the terms of each product in key order, and
+    # a packed product keys its terms in another order; so the approx
+    # engine keeps the schoolbook order: every product it makes has its
+    # keys in the order of a run with packing switched off, and every
+    # double of its V table is the same, bit for bit.  The exact value
+    # runs packed and is the same element either way.
+    X1, X2 = SparsePolynomial.variable(2, 1), SparsePolynomial.variable(2, 2)
+    P = X1 * X1 + X1 * X2 + 3 * X2 + 1
+    exact = ZetaInstance(SparsePolynomial.one(2), (P,),
+                         TwistVector.exact(5, [1, 2]))
+    approx = ZetaInstance(exact.Q, exact.Ps, exact.mus.to_approx())
+    mul_terms, packed_terms = _kernels_py.mul_terms, _kernels_py._packed_terms
+    products, packed = [], []
+
+    def spy_mul(A, B, ordered=False):
+        out = mul_terms(A, B, ordered)
+        products.append((len(A) * len(B), list(out)))
+        return out
+
+    def spy_packed(A, B):
+        out = packed_terms(A, B)
+        packed.append(out is not None)
+        return out
+
+    def run(inst):
+        products.clear()
+        session = ValueCache()
+        value = special_value(inst, (14,), cache=session)
+        table = session.context(inst.Ps, inst.mus).V
+        return value, table, list(products)
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    monkeypatch.setattr(_kernels_py, "mul_terms", spy_mul)
+    monkeypatch.setattr(_kernels_py, "_packed_terms", spy_packed)
+    got_approx, got_table, got_products = run(approx)
+    assert max(n for n, _ in got_products) >= _kernels_py.KS_MIN_PAIRS
+    got_exact, _, _ = run(exact)
+    assert any(packed)
+    monkeypatch.setattr(_kernels_py, "KS_MIN_PAIRS", 10 ** 9)
+    want_approx, want_table, want_products = run(approx)
+    want_exact, _, _ = run(exact)
+    assert got_exact == want_exact == closed_value(
+        exact.Q, exact.Ps, (14,), exact.mus)
+    assert got_products == want_products
+    assert bits(got_approx) == bits(want_approx)
+    assert got_table.keys() == want_table.keys()
+    assert all(bits(got_table[key]) == bits(want_table[key])
+               for key in want_table)

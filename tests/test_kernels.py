@@ -1,8 +1,14 @@
-"""The pure Python kernels against brute-force evaluation."""
+"""The pure Python kernels against brute-force evaluation, and the
+packed (Kronecker substitution) products against the schoolbook loops
+they replace above their thresholds."""
 
 import cmath
+import contextlib
 import random
 from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistzeta import _kernels_py
 from twistzeta._backend import BACKEND, kernels
@@ -69,9 +75,9 @@ def test_cyclo_mul_respects_the_embedding():
             return sum(float(c) * zeta ** i for i, c in enumerate(coords))
 
         for _ in range(10):
-            xs = tuple(Fraction(rng.randint(-5, 5)) for _ in range(phi))
-            ys = tuple(Fraction(rng.randint(-5, 5)) for _ in range(phi))
-            out = _kernels_py.cyclo_mul(xs, ys, field.reduction_rows)
+            xs = tuple(rng.randint(-5, 5) for _ in range(phi))
+            ys = tuple(rng.randint(-5, 5) for _ in range(phi))
+            out = _kernels_py.cyclo_mul(xs, ys, field.taps)
             assert len(out) == phi
             assert abs(emb(out) - emb(xs) * emb(ys)) < 1e-9
 
@@ -86,3 +92,151 @@ def test_power_sums_box_matches_direct_sum():
 
 def test_backend_reports_a_known_name():
     assert BACKEND == "py" and kernels is _kernels_py
+
+
+@contextlib.contextmanager
+def _schoolbook():
+    """Both products on their schoolbook loops at every size."""
+    saved = _kernels_py.KS_MIN_PHI, _kernels_py.KS_MIN_PAIRS
+    _kernels_py.KS_MIN_PHI = _kernels_py.KS_MIN_PAIRS = 10 ** 9
+    try:
+        yield
+    finally:
+        _kernels_py.KS_MIN_PHI, _kernels_py.KS_MIN_PAIRS = saved
+
+
+# signed ints from a few bits up to well past KS_MAX_BITS per operand
+_coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.integers(2 ** 200, 2 ** 300).map(lambda n: -n),
+)
+
+
+@st.composite
+def _field_operands(draw):
+    # phi = 1, 2, 16, 32, 96; phi(17) = 16 has a dense modulus
+    order = draw(st.sampled_from([2, 3, 4, 17, 60, 120, 360]))
+    phi = CyclotomicField.get(order).degree
+    shape = draw(st.sampled_from(["dense", "zero", "single"]))
+    vectors = []
+    for _ in range(2):
+        if shape == "dense":
+            vec = draw(st.lists(_coefficients, min_size=phi, max_size=phi))
+        else:
+            vec = [0] * phi
+            if shape == "single":
+                vec[draw(st.integers(0, phi - 1))] = draw(_coefficients)
+        vectors.append(tuple(vec))
+    return order, vectors[0], vectors[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_operands())
+@example((60, (2 ** 300,) * 16, (-(2 ** 300),) * 16))  # above the bit bound
+def test_packed_field_product_equals_schoolbook(case):
+    order, xs, ys = case
+    taps = CyclotomicField.get(order).taps
+    got = _kernels_py.cyclo_mul(xs, ys, taps)
+    with _schoolbook():
+        want = _kernels_py.cyclo_mul(xs, ys, taps)
+    assert got == want and all(type(c) is int for c in got)
+
+
+@st.composite
+def _term_tables(draw):
+    # each table is a random subset of a box of at most 64 exponents, so
+    # products run from a single pair to about a thousand
+    nvars = draw(st.integers(1, 3))
+    side = draw(st.sampled_from({1: [3, 64], 2: [3, 8], 3: [2, 4]}[nvars]))
+    box = [()]
+    for _ in range(nvars):
+        box = [e + (i,) for e in box for i in range(side)]
+    tables = []
+    for _ in range(2):
+        shape = draw(st.sampled_from(["subset"] * 4 + ["single", "empty"]))
+        if shape == "subset":
+            mask = draw(st.lists(st.booleans(), min_size=len(box),
+                                 max_size=len(box)))
+            keys = [e for e, keep in zip(box, mask) if keep]
+        else:
+            keys = [draw(st.sampled_from(box))] if shape == "single" else []
+        coefs = draw(st.lists(_coefficients.filter(bool), min_size=len(keys),
+                              max_size=len(keys)))
+        tables.append(dict(zip(keys, coefs)))
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_tables())
+@example([{(e,): 3 ** e for e in range(20)}, {(e,): -1 for e in range(20)}])
+@example([{(e,): e + 1 for e in range(300)}, {(0,): 5}])
+def test_packed_term_product_equals_schoolbook(tables):
+    A, B = tables
+    got = _kernels_py.mul_terms(A, B)
+    with _schoolbook():
+        want = _kernels_py.mul_terms(A, B)
+    assert got == want
+    # the ordered product keeps the schoolbook's key order at every size
+    assert list(_kernels_py.mul_terms(A, B, ordered=True)) == list(want)
+
+
+def test_packed_term_product_comes_out_sorted():
+    A = {(e, 4 - e): e - 7 for e in range(5)}
+    B = {(i, j): i * j + 1 for i in range(8) for j in range(8)}
+    assert len(A) * len(B) >= _kernels_py.KS_MIN_PAIRS
+    out = _kernels_py.mul_terms(A, B)
+    assert list(out) == sorted(out)
+    with _schoolbook():
+        want = _kernels_py.mul_terms(A, B)
+    assert out == want and list(out) != list(want)
+
+
+def _refuse(*args):
+    raise AssertionError("packed product called below its threshold")
+
+
+def test_dispatch_stays_schoolbook_below_the_thresholds(monkeypatch):
+    monkeypatch.setattr(_kernels_py, "_packed_conv", _refuse)
+    monkeypatch.setattr(_kernels_py, "_packed_terms", _refuse)
+    rng = random.Random(108)
+    for order in (2, 3, 4, 5, 12, 15, 44):  # phi = 1 .. 20, all below 16
+        field = CyclotomicField.get(order)
+        phi = field.degree
+        if phi >= _kernels_py.KS_MIN_PHI:
+            continue
+        xs = tuple(rng.randint(-9, 9) for _ in range(phi))
+        _kernels_py.cyclo_mul(xs, xs, field.taps)
+    A = {(e,): e + 1 for e in range(15)}
+    B = {(e,): 2 for e in range(17)}
+    assert len(A) * len(B) < _kernels_py.KS_MIN_PAIRS
+    _kernels_py.mul_terms(A, B)
+    big = {(e,): 1 for e in range(40)}
+    _kernels_py.mul_terms(big, big, ordered=True)
+
+
+def test_dispatch_falls_back_where_packing_loses(monkeypatch):
+    returned = []
+
+    def spy(helper):
+        def wrapped(*args):
+            out = helper(*args)
+            returned.append(out is not None)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(_kernels_py, "_packed_conv",
+                        spy(_kernels_py._packed_conv))
+    monkeypatch.setattr(_kernels_py, "_packed_terms",
+                        spy(_kernels_py._packed_terms))
+    taps60 = CyclotomicField.get(60).taps  # phi = 16
+    taps120 = CyclotomicField.get(120).taps  # phi = 32
+    small, large = (3,) * 16, (2 ** 250,) * 16
+    _kernels_py.cyclo_mul(small, small, taps60)
+    _kernels_py.cyclo_mul(large, large, taps60)  # 502 bits > KS_MAX_BITS
+    _kernels_py.cyclo_mul(large + large, large + large, taps120)
+    # a long table times a binomial: about as many slots as pairs
+    _kernels_py.mul_terms({(e,): 1 for e in range(200)}, {(0,): 1, (1,): 1})
+    _kernels_py.mul_terms({(e,): 1 for e in range(20)},
+                          {(e,): 1 for e in range(20)})
+    assert returned == [True, False, True, False, True]

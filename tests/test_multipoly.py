@@ -77,12 +77,33 @@ def test_zero_shift_is_identity_object():
     assert A.shift((0, 0)) is A
 
 
+def _repeated_product(A, k):
+    out = SparsePolynomial.one(A.nvars)
+    for _ in range(k):
+        out = out * A
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(poly_strategy(2))
 def test_powers_match_repeated_products(A):
     assert A ** 0 == SparsePolynomial.one(2)
-    assert A ** 1 == A
+    assert A ** 1 is A
     assert A ** 3 == A * A * A
+
+
+X = SparsePolynomial.variable(1, 1)
+
+
+@pytest.mark.parametrize("A", [
+    rat(3, 7) * X ** 2 - rat(1, 2) * X + rat(5, 3),  # den != 1
+    # 20 terms: A * A is 400 pairs, a packed product
+    sum((rat(j + 1, 3) * X ** j for j in range(20)), SparsePolynomial.zero(1)),
+    SparsePolynomial.zero(1),
+])
+def test_powers_up_to_nine_match_repeated_products(A):
+    for k in range(10):
+        assert A ** k == _repeated_product(A, k)
 
 
 def test_negative_power_rejected():

@@ -17,6 +17,7 @@ from twistzeta.errors import TwistIsOne
 from twistzeta.twists import (
     Twist,
     TwistVector,
+    _grow_rows,
     _horner,
     eulerian_negapolylog,
     monomial_sum,
@@ -235,3 +236,14 @@ def test_lincomb_dispatches_by_mode():
                 want = want + mus.scale(s, c * rat(1, den))
             assert mus.lincomb(zip(values, coefs), den) == want
         assert mus.lincomb([]) == mus.zero_scalar()
+
+
+def test_row_tables_grow_without_recursion():
+    # operator_numerator, eulerian_row and abel's Stirling rows fill
+    # their tables upward from the largest row held, so a first call far
+    # beyond the interpreter's recursion limit costs no stack
+    rows = {3: (1,)}
+    top = _grow_rows(rows, 5000, lambda prev, m: (prev[0] + m,))
+    assert top == (1 + sum(range(4, 5001)),)
+    assert sorted(rows) == list(range(3, 5001))
+    assert _grow_rows(rows, 10, None) == (1 + sum(range(4, 11)),)
