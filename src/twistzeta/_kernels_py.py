@@ -28,11 +28,14 @@ about 0.3), were
     phi = 32     2.4    2.5    1.9    1.0    1.6
     phi = 96     6.4    3.4    4.6    2.6    2.2
 
-so phi = 16 packs only while the coefficients stay small; the dense
-n x n term product gained 3x at n = 16 and 15-45x at n = 64-256 with
-8-bit coefficients (1.4-7x at 512 bits), and a table times a binomial,
-with about as many slots as pairs, lost up to 2x, which the density
-rule of _packed_terms excludes.
+and eleven paired repeats at phi = 16 read medians of 1.3-1.45x at 8
+and 64 bits, 0.89-0.97x from 256 to 1024 bits and 1.25x at 4096 bits.
+Every field product from phi = 16 packs: the loss is a window of at
+most about 10%, and no workload multiplies coordinates that large at
+phi < 32.  The dense n x n term product gained 3x at n = 16 and 15-45x
+at n = 64-256 with 8-bit coefficients (1.4-7x at 512 bits), and a table
+times a binomial, with about as many slots as pairs, lost up to 2x,
+which the density rule of _packed_terms excludes.
 """
 
 from __future__ import annotations
@@ -41,14 +44,10 @@ import itertools
 import math
 
 # Packed products (Kronecker substitution, below).  A field product
-# packs from phi = KS_MIN_PHI, and below phi = KS_WIDE_PHI only while the
-# bit lengths of the two operands' largest numerators add up to at most
-# KS_MAX_BITS.  A term-table product packs from KS_MIN_PAIRS pairs of
-# terms, when the exponent box of the result is dense enough
-# (_packed_terms).
+# packs from phi = KS_MIN_PHI.  A term-table product packs from
+# KS_MIN_PAIRS pairs of terms, when the exponent box of the result is
+# dense enough (_packed_terms).
 KS_MIN_PHI = 16
-KS_WIDE_PHI = 32
-KS_MAX_BITS = 384
 KS_MIN_PAIRS = 256
 
 
@@ -131,8 +130,9 @@ def cyclo_mul(xs: tuple, ys: tuple, taps: tuple) -> tuple:
     the convolution is one packed integer product (_packed_conv).
     """
     phi = len(xs)
-    conv = _packed_conv(xs, ys) if phi >= KS_MIN_PHI else None
-    if conv is None:
+    if phi >= KS_MIN_PHI:
+        conv = _packed_conv(xs, ys)
+    else:
         conv = [0] * (2 * phi - 1)
         for i, x in enumerate(xs):
             if not x:
@@ -212,16 +212,13 @@ def _slot_bytes(bits: int, terms: int) -> int:
     return (bits + terms.bit_length() + 8) // 8
 
 
-def _packed_conv(xs: tuple, ys: tuple):
-    """The convolution of two integer vectors of length phi, packed, or
-    None where the schoolbook loop is faster."""
+def _packed_conv(xs: tuple, ys: tuple) -> list:
+    """The convolution of two integer vectors of length phi, packed."""
     phi = len(xs)
     bx = max(map(abs, xs)).bit_length()
     by = max(map(abs, ys)).bit_length()
     if not bx or not by:
         return [0] * (2 * phi - 1)
-    if phi < KS_WIDE_PHI and bx + by > KS_MAX_BITS:
-        return None
     wb = _slot_bytes(bx + by, phi)
     return _unpack(_pack(xs, wb) * _pack(ys, wb), 2 * phi - 1, wb)
 

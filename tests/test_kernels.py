@@ -105,7 +105,7 @@ def _schoolbook():
         _kernels_py.KS_MIN_PHI, _kernels_py.KS_MIN_PAIRS = saved
 
 
-# signed ints from a few bits up to well past KS_MAX_BITS per operand
+# signed ints from a few bits up to 300 bits per operand
 _coefficients = st.one_of(
     st.integers(-9, 9),
     st.integers(-(2 ** 70), 2 ** 70),
@@ -133,7 +133,7 @@ def _field_operands(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_field_operands())
-@example((60, (2 ** 300,) * 16, (-(2 ** 300),) * 16))  # above the bit bound
+@example((60, (2 ** 300,) * 16, (-(2 ** 300),) * 16))  # phi = 16, 301 bits
 def test_packed_field_product_equals_schoolbook(case):
     order, xs, ys = case
     taps = CyclotomicField.get(order).taps
@@ -218,25 +218,30 @@ def test_dispatch_stays_schoolbook_below_the_thresholds(monkeypatch):
 def test_dispatch_falls_back_where_packing_loses(monkeypatch):
     returned = []
 
-    def spy(helper):
-        def wrapped(*args):
-            out = helper(*args)
-            returned.append(out is not None)
-            return out
-        return wrapped
+    def spy(*args):
+        out = packed_terms(*args)
+        returned.append(out is not None)
+        return out
 
-    monkeypatch.setattr(_kernels_py, "_packed_conv",
-                        spy(_kernels_py._packed_conv))
-    monkeypatch.setattr(_kernels_py, "_packed_terms",
-                        spy(_kernels_py._packed_terms))
-    taps60 = CyclotomicField.get(60).taps  # phi = 16
-    taps120 = CyclotomicField.get(120).taps  # phi = 32
-    small, large = (3,) * 16, (2 ** 250,) * 16
-    _kernels_py.cyclo_mul(small, small, taps60)
-    _kernels_py.cyclo_mul(large, large, taps60)  # 502 bits > KS_MAX_BITS
-    _kernels_py.cyclo_mul(large + large, large + large, taps120)
+    packed_terms = _kernels_py._packed_terms
+    monkeypatch.setattr(_kernels_py, "_packed_terms", spy)
     # a long table times a binomial: about as many slots as pairs
     _kernels_py.mul_terms({(e,): 1 for e in range(200)}, {(0,): 1, (1,): 1})
     _kernels_py.mul_terms({(e,): 1 for e in range(20)},
                           {(e,): 1 for e in range(20)})
-    assert returned == [True, False, True, False, True]
+    assert returned == [False, True]
+
+
+def test_field_products_pack_from_the_threshold(monkeypatch):
+    calls = []
+
+    def spy(xs, ys):
+        calls.append(len(xs))
+        return packed_conv(xs, ys)
+
+    packed_conv = _kernels_py._packed_conv
+    monkeypatch.setattr(_kernels_py, "_packed_conv", spy)
+    large = (2 ** 1000,) * 16
+    for order, xs in ((60, (3,) * 16), (60, large), (120, large + large)):
+        _kernels_py.cyclo_mul(xs, xs, CyclotomicField.get(order).taps)
+    assert calls == [16, 16, 32]
