@@ -44,6 +44,14 @@ class _Disagreement(Exception):
     pass
 
 
+def _agrees(value, reference) -> bool:
+    """Exact values agree when equal; doubles when they differ by at most
+    _APPROX_AGREE_TOL * (1 + |reference|)."""
+    if isinstance(reference, CyclotomicElement):
+        return value == reference
+    return abs(value - reference) <= _APPROX_AGREE_TOL * (1 + abs(reference))
+
+
 def _read_document(path: str) -> ProblemDocument:
     if path == "-":
         text = sys.stdin.read()
@@ -174,12 +182,7 @@ def _compute_record(
         tags.append("closed")
     agree = None
     if v_rec is not None and v_clo is not None:
-        if exact_mode:
-            agree = v_rec == v_clo
-        else:
-            agree = abs(v_rec - v_clo) <= _APPROX_AGREE_TOL * (
-                1.0 + abs(v_clo)
-            )
+        agree = _agrees(v_rec, v_clo)
     value = v_rec if v_rec is not None else v_clo
     if exact_mode:
         return ValueRecord(
@@ -331,22 +334,15 @@ def _cmd_verify(args) -> int:
         v_clo = closed_value(inst.Q, inst.Ps, k, inst.mus)
         if args.inject_fault:
             v_clo = v_clo + inst.mus.one_scalar()
-        if exact_mode:
-            ok = v_rec == v_clo
-        else:
-            ok = abs(v_rec - v_clo) <= _APPROX_AGREE_TOL * (1 + abs(v_clo))
         ktext = ",".join(str(x) for x in k)
-        if not ok:
+        if not _agrees(v_rec, v_clo):
             print(f"counterexample: k={ktext}")
             print(f"  recurrence = {v_rec}")
             print(f"  closed     = {v_clo}")
             raise _Disagreement(f"methods disagree at k={ktext}")
         for sh in shifts:
             v_sh = special_value(inst, k, shift=sh, cache=session)
-            same = v_sh == v_rec if exact_mode else (
-                abs(v_sh - v_rec) <= _APPROX_AGREE_TOL * (1 + abs(v_rec))
-            )
-            if not same:
+            if not _agrees(v_sh, v_rec):
                 print(f"counterexample: k={ktext} shift={sh}")
                 print(f"  default   = {v_rec}")
                 print(f"  shifted   = {v_sh}")

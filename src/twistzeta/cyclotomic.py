@@ -500,11 +500,6 @@ class CyclotomicElement:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    @property
-    def is_one(self) -> bool:
-        num = self.num
-        return self.den == 1 and num[0] == 1 and not any(num[1:])
-
     def embed(self) -> complex:
         """Numeric value at z = exp(2 pi i / r), in double precision.
 

@@ -28,7 +28,6 @@ has a_i > 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -541,7 +540,7 @@ class ValueCache:
         """Z(Q; -k) over the V table of the context of shift a (None is
         the default pick)."""
         ctx = self.context(inst.Ps, inst.mus, a)
-        return self._resolve(ctx, inst.Q, k, None)
+        return self._run(self._resolve(ctx, inst.Q, k, None))
 
     # recursion ------------------------------------------------------
 
@@ -576,36 +575,49 @@ class ValueCache:
         """One application of the relation: Z(N; -k) from the step data
         of N in ctx.  The u-sum and Delta_a N resolve in inner (ctx
         itself, or the default context under an explicit top-level
-        shift), each restricted piece in its sub-series' context."""
+        shift), each restricted piece in its sub-series' context.  A
+        generator: it yields (ctx, alpha, k, parent) for every V entry it
+        misses and returns the value (see _run)."""
         groups = [
             (data.prod(ctx, v), u, w) for u, v, w in self._index_terms(k)
         ]
         groups.append((data.delta, k, None))
-        total = ctx.mu_a * self._combine(inner, groups, parent)
+        total = ctx.mu_a * (yield from self._combine(inner, groups, parent))
         for (piece, sub_ctx), poly in zip(ctx.restricted, data.restricted):
-            sval = self._resolve(sub_ctx, poly, k, parent)
+            sval = yield from self._resolve(sub_ctx, poly, k, parent)
             total = total + piece.prefactor * sval
         for point, nb in zip(ctx.points, data.at_points):
             total = total + point.term(k, nb)
         return ctx.inv1ma * total
 
-    def _V(self, ctx: _Context, alpha, k, parent=None) -> Scalar:
-        key = (alpha, k)
-        hit = ctx.V.get(key)
-        if hit is not None:
-            return hit
-        if __debug__ and parent is not None:
-            assert (ctx.N, sum(k), sum(alpha)) < parent, (
+    def _run(self, gen) -> Scalar:
+        """Drive the step generator gen to its value on one explicit
+        stack.  Each V entry it misses gets a step generator of its own,
+        whose value is stored in its context's V table and sent back, so
+        the depth of the evaluation costs no Python stack."""
+        pending = []
+        value = None
+        while True:
+            try:
+                ctx, alpha, k, parent = gen.send(value)
+            except StopIteration as done:
+                value = done.value
+                if not pending:
+                    return value
+                ctx, key, gen = pending.pop()
+                ctx.V[key] = value
+                continue
+            here = (ctx.N, sum(k), sum(alpha))
+            assert parent is None or here < parent, (
                 "recursion metric failed to decrease"
             )
-        data = self._step_data(ctx, alpha)
-        value = self._step(ctx, data, k, ctx, (ctx.N, sum(k), sum(alpha)))
-        ctx.V[key] = value
-        return value
+            pending.append((ctx, (alpha, k), gen))
+            gen = self._step(ctx, self._step_data(ctx, alpha), k, ctx, here)
+            value = None
 
-    def _combine(self, ctx: _Context, groups: list, parent) -> Scalar:
+    def _combine(self, ctx: _Context, groups: list, parent):
         """sum over groups (polynomial, u, w) of w * resolve(polynomial, u),
-        where w None means a plain sum.
+        where w None means a plain sum; a generator like _step.
 
         Every group is checked once against the recursion metric: (N,
         |u|, deg polynomial) < parent, so a cached V entry cannot hide a
@@ -628,23 +640,27 @@ class ValueCache:
                     for alpha, c in p.nums.items():
                         value = table.get((alpha, u))
                         if value is None:
-                            value = self._V(ctx, alpha, u, parent)
+                            value = yield ctx, alpha, u, parent
                         append((value, c * m))
             return ctx.mus.lincomb(pairs, lcd)
         acc = ctx.zero
         for p, u, w in groups:
             if p.nums:
-                value = self._resolve(ctx, p, u, parent)
+                value = yield from self._resolve(ctx, p, u, parent)
                 acc = acc + (value if w is None else value * w)
         return acc
 
     def _resolve(self, ctx: _Context, poly: SparsePolynomial, k, parent):
-        """sum over the terms of poly of coef * V(alpha, k)."""
-        V = self._V
-        return ctx.mus.lincomb(
-            [(V(ctx, alpha, k, parent), c) for alpha, c in poly.nums.items()],
-            poly.den,
-        )
+        """sum over the terms of poly of coef * V(alpha, k); a generator
+        like _step."""
+        table = ctx.V
+        pairs = []
+        for alpha, c in poly.nums.items():
+            value = table.get((alpha, k))
+            if value is None:
+                value = yield ctx, alpha, k, parent
+            pairs.append((value, c))
+        return ctx.mus.lincomb(pairs, poly.den)
 
 
 def _as_k(inst: ZetaInstance, k) -> tuple[int, ...]:
@@ -670,24 +686,6 @@ def _session(cache, index_form) -> ValueCache:
     return cache
 
 
-def _depth_guarded(fn):
-    """Report an overflow of the Python stack by the recursive evaluator
-    as an EngineError."""
-
-    @functools.wraps(fn)
-    def guarded(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RecursionError:
-            raise EngineError(
-                "recursion too deep for this k; the residual index form "
-                "needs far less stack"
-            ) from None
-
-    return guarded
-
-
-@_depth_guarded
 def special_value(
     inst: ZetaInstance,
     k: Sequence[int],
@@ -708,7 +706,8 @@ def special_value(
     value: in exact mode the result is stored only under a free key, in
     approx mode (where it differs from the default in the last bits) not
     at all.  Everything in the step that does not depend on k is built
-    once per session.
+    once per session.  V-table misses are evaluated from one explicit
+    stack, so a deep k needs no Python stack in either index form.
     """
     k = _as_k(inst, k)
     session = _session(cache, index_form)
@@ -726,7 +725,7 @@ def special_value(
     step = session.context(inst.Ps, inst.mus, choose_shift(inst.mus, shift).a)
     data = session._step_data(step, inst.Q.canonical_text(), inst.Q)
     inner = session.context(inst.Ps, inst.mus)
-    value = session._step(step, data, k, inner, None)
+    value = session._run(session._step(step, data, k, inner, None))
     if inst.mus.mode == "exact":
         session.values.setdefault(key, value)
     return value
@@ -735,7 +734,6 @@ def special_value(
 # Fast paths for structured factor families --------------------------
 
 
-@_depth_guarded
 def linear_special_value(
     inst: ZetaInstance,
     k: Sequence[int],
@@ -841,7 +839,6 @@ def quadratic_delta(
     return delta
 
 
-@_depth_guarded
 def quadratic_special_value(
     Ps: Sequence[StructuredQuadratic],
     mus: TwistVector,

@@ -549,27 +549,40 @@ def test_point_terms_use_exact_factor_powers():
 
 
 def test_deep_k_needs_no_deep_stack():
-    # On a 120-frame stack the residual form still reaches k = 300 (the
-    # G(v) memo is built without recursion); the consumed form recurses
-    # once per unit of k and reports that as an EngineError.
+    # Table misses are evaluated from one explicit stack, so neither index
+    # form needs stack depth in k: on a 120-frame stack both forms reach
+    # k = 300 for 2X + 1, and on a 60-frame stack a quadratic in two
+    # variables reaches k = 20 with both shift policies.
     script = textwrap.dedent(
         """
         import sys
         from twistzeta import TwistVector, ZetaInstance, special_value
         from twistzeta.closedform import closed_value
-        from twistzeta.errors import EngineError
         from twistzeta.multipoly import SparsePolynomial
 
         X = SparsePolynomial.variable(1, 1)
         one = SparsePolynomial.one(1)
-        inst = ZetaInstance(one, (X * 2 + one,), TwistVector.exact(3, [1]))
-        want = closed_value(inst.Q, inst.Ps, (300,), inst.mus)
-        sys.setrecursionlimit(120)
-        assert special_value(inst, (300,)) == want
-        try:
-            special_value(inst, (300,), index_form="consumed")
-        except EngineError as exc:
-            print("consumed:", type(exc).__name__)
+        line = ZetaInstance(one, (X * 2 + one,), TwistVector.exact(3, [1]))
+        X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+        one2 = SparsePolynomial.one(2)
+        quad = ZetaInstance(
+            one2,
+            (X1 * X1 + X1 * X2 + X2 * 3 + one2,),
+            TwistVector.exact(5, [1, 2]),
+        )
+        want_line = closed_value(line.Q, line.Ps, (300,), line.mus)
+        want_quad = closed_value(quad.Q, quad.Ps, (20,), quad.mus)
+        for form in ("residual", "consumed"):
+            sys.setrecursionlimit(120)
+            got = special_value(line, (300,), index_form=form)
+            assert got == want_line, form
+            sys.setrecursionlimit(60)
+            for shift in ("default", "all-ones"):
+                got = special_value(
+                    quad, (20,), shift=shift, index_form=form
+                )
+                assert got == want_quad, (form, shift)
+            print(form, "ok")
         """
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -578,7 +591,7 @@ def test_deep_k_needs_no_deep_stack():
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "consumed: EngineError"
+    assert proc.stdout.split() == ["residual", "ok", "consumed", "ok"]
 
 
 def test_exact_hot_paths_need_no_euclid_inverse(monkeypatch):
