@@ -393,6 +393,15 @@ def _add_common(sub) -> None:
                      help="JSON value-cache file to read and update")
 
 
+def _add_evaluation(sub) -> None:
+    """The options shared by value and table."""
+    sub.add_argument("--method", choices=["recurrence", "closed", "both"],
+                     default="both")
+    sub.add_argument("--shift", default=None, metavar="a1,...,aN")
+    sub.add_argument("--inject-fault", action="store_true",
+                     help=argparse.SUPPRESS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistzeta",
@@ -406,23 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_value.add_argument("k", nargs="?", default=None,
                          help="comma-separated k, e.g. 1,0; defaults to "
                               "the document queries")
-    p_value.add_argument("--method",
-                         choices=["recurrence", "closed", "both"],
-                         default="both")
-    p_value.add_argument("--shift", default=None, metavar="a1,...,aN")
-    p_value.add_argument("--inject-fault", action="store_true",
-                         help=argparse.SUPPRESS)
+    _add_evaluation(p_value)
     p_value.set_defaults(func=_cmd_value)
 
     p_table = subs.add_parser("table", help="evaluate a whole box of k")
     _add_common(p_table)
     p_table.add_argument("--max", default=None, metavar="K1,...,KT")
-    p_table.add_argument("--method",
-                         choices=["recurrence", "closed", "both"],
-                         default="both")
-    p_table.add_argument("--shift", default=None, metavar="a1,...,aN")
-    p_table.add_argument("--inject-fault", action="store_true",
-                         help=argparse.SUPPRESS)
+    _add_evaluation(p_table)
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = subs.add_parser(

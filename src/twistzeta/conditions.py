@@ -57,17 +57,10 @@ def _positivity_verdict(P: SparsePolynomial) -> str:
     if at_one <= 0:
         # (1,..,1) lies in the summation region, so this is necessary
         return FAIL
-    if all(c > 0 for c in P.terms.values()):
+    # P.nums over den > 0 carries the signs of the coefficients
+    if all(c > 0 for c in P.nums.values()):
         return PASS
     return UNKNOWN
-
-
-def _is_positive_linear(P: SparsePolynomial) -> bool:
-    if P.is_zero:
-        return False
-    return all(sum(e) == 1 for e in P.terms) and all(
-        c > 0 for c in P.terms.values()
-    )
 
 
 def _gram_psd(A: list[list]) -> bool:
@@ -132,9 +125,7 @@ def _is_structured_quadratic(P: SparsePolynomial) -> bool:
 def _hypo_verdict(P: SparsePolynomial, positivity: str) -> str:
     if positivity == FAIL:
         return FAIL
-    if all(c > 0 for c in P.terms.values()) and not P.is_zero:
-        return PASS
-    if _is_positive_linear(P):
+    if all(c > 0 for c in P.nums.values()) and not P.is_zero:
         return PASS
     if _is_structured_quadratic(P):
         return PASS

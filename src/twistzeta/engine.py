@@ -159,13 +159,24 @@ def choose_shift(
 ) -> ShiftVector:
     """Pick or validate a shift vector for the given twists.
 
-    policy 'default' returns e_1, always usable since mu_1 != 1;
+    policy 'default' returns e_1 in exact mode, always usable since
+    mu_1 != 1, and in approx mode the first well conditioned one of
+    e_1..e_N, all-ones, raising ApproxIllConditioned if there is none;
     'all-ones' and explicit vectors are validated against mu^a = 1.
     """
     N = len(mus)
     if isinstance(policy, str):
         if policy == "default":
-            return ShiftVector((1,) + (0,) * (N - 1))
+            units = [tuple(int(i == n) for i in range(N)) for n in range(N)]
+            if mus.mode == "exact":
+                return ShiftVector(units[0])
+            for a in units + [(1,) * N]:
+                if not _scalar_is_one(mus, mu_power(mus, a)):
+                    return ShiftVector(a)
+            raise ApproxIllConditioned(
+                f"every candidate shift has mu^a within "
+                f"{_APPROX_SHIFT_TOL:g} of 1"
+            )
         if policy == "all-ones":
             a = ShiftVector((1,) * N)
         else:
@@ -263,25 +274,6 @@ def boundary_decompose(
     return pieces
 
 
-def _pick_shift(mus: TwistVector) -> tuple[int, ...]:
-    """The default shift: e_1 in exact mode, valid since mu_1 != 1, and
-    the first well conditioned one of e_1..e_N, all-ones in approx
-    mode."""
-    N = len(mus)
-    candidates = [
-        tuple(1 if i == n else 0 for i in range(N)) for n in range(N)
-    ]
-    if mus.mode == "exact":
-        return candidates[0]
-    candidates.append((1,) * N)
-    for a in candidates:
-        if not _scalar_is_one(mus, mu_power(mus, a)):
-            return a
-    raise ApproxIllConditioned(
-        f"every candidate shift has mu^a within {_APPROX_SHIFT_TOL:g} of 1"
-    )
-
-
 class _Context:
     """Everything in one step of the relation for (P_1..P_T, mu, a) that
     depends neither on k nor on the numerator.
@@ -296,7 +288,6 @@ class _Context:
     """
 
     __slots__ = (
-        "Ps",
         "mus",
         "N",
         "T",
@@ -318,21 +309,25 @@ class _Context:
         Ps: tuple[SparsePolynomial, ...],
         mus: TwistVector,
         a: tuple[int, ...],
-        mu_a: Scalar,
-        inv1ma: Scalar,
+        restricted: list,
+        points: list,
     ):
-        self.Ps = Ps
         self.mus = mus
         self.N = len(mus)
         self.T = len(Ps)
-        self.a, self.mu_a, self.inv1ma = a, mu_a, inv1ma
+        self.a = a
+        self.mu_a = mu_power(mus, a)
+        if mus.mode == "exact":
+            field = CyclotomicField.get(mus.order)
+            self.inv1ma = field.inverse_one_minus_root(mus.power_exponent(a))
+        else:
+            self.inv1ma = 1.0 / (mus.one_scalar() - self.mu_a)
         self.zero = mus.zero_scalar()
         self.deltas = tuple(P.delta(a) for P in Ps)
         self.V: dict = {}
         self.steps: dict = {}
-        # the boundary pieces, built with the first step data
-        self.restricted = None
-        self.points = None
+        self.restricted = restricted
+        self.points = points
         # approx mode sums V over the terms of these products in key
         # order, so it keeps the schoolbook order of every product
         if mus.mode == "exact":
@@ -457,7 +452,6 @@ class ValueCache:
         self.index_form = index_form
         self.values: dict = {}
         self._contexts: dict = {}
-        self._shifts: dict = {}
 
     @staticmethod
     def value_key(inst: ZetaInstance, k: tuple[int, ...]) -> str:
@@ -471,65 +465,40 @@ class ValueCache:
         _, sep, rest = key.partition(";mu=")
         return TwistVector.order_of_text(rest) if sep else None
 
-    def _shift(self, mus: TwistVector, text: str, a: tuple | None):
-        """(a, mu^a, 1/(1 - mu^a)) for the twists mus with canonical text
-        text, a None resolved to the default pick; built once per
-        (twists, shift) in the session."""
-        key = (text, a)
-        hit = self._shifts.get(key)
-        if hit is None:
-            if a is None:
-                hit = self._shift(mus, text, _pick_shift(mus))
-            else:
-                mu_a = mu_power(mus, a)
-                if _scalar_is_one(mus, mu_a):
-                    raise ApproxIllConditioned(
-                        f"|1 - mu^a| below {_APPROX_SHIFT_TOL:g} for shift {a}"
-                    )
-                if mus.mode == "exact":
-                    field = CyclotomicField.get(mus.order)
-                    inv = field.inverse_one_minus_root(mus.power_exponent(a))
-                else:
-                    inv = 1.0 / (mus.one_scalar() - mu_a)
-                hit = (a, mu_a, inv)
-            self._shifts[key] = hit
-        return hit
-
     def context(
         self, Ps: tuple, mus: TwistVector, a: tuple[int, ...] | None = None
     ) -> _Context:
-        """The context of (Ps, mus) for shift a; None is the default
-        pick, which shares the context of the same explicit shift."""
-        text = mus.canonical_text()
-        a, mu_a, inv1ma = self._shift(mus, text, a)
-        key = (text, a) + tuple(P.canonical_text() for P in Ps)
+        """The context of (Ps, mus) for shift a, built whole on first use
+        with the default context of every restricted piece.  None is the
+        default pick of choose_shift; its key is an alias of the context
+        of that explicit shift, so a default lookup is one dict hit."""
+        key = (mus.canonical_text(), a) + tuple(P.canonical_text() for P in Ps)
         ctx = self._contexts.get(key)
         if ctx is None:
-            ctx = _Context(Ps, mus, a, mu_a, inv1ma)
+            if a is None:
+                ctx = self.context(Ps, mus, choose_shift(mus).a)
+            else:
+                one = SparsePolynomial.one(len(mus))
+                pieces = boundary_decompose(ZetaInstance(one, Ps, mus), a)
+                points = [
+                    _Point(Ps, mus, piece.point)
+                    for piece in pieces
+                    if isinstance(piece, PointTerm)
+                ]
+                restricted = [
+                    (piece, self.context(piece.sub.Ps, piece.sub.mus))
+                    for piece in pieces
+                    if isinstance(piece, Restricted)
+                ]
+                ctx = _Context(Ps, mus, a, restricted, points)
             self._contexts[key] = ctx
         return ctx
 
     def _step_data(self, ctx: _Context, key, numerator=None) -> _Step:
         """The step data in ctx of X^key for an exponent tuple key, or of
-        numerator under its canonical text key; the first step data of a
-        context also builds its boundary pieces."""
+        numerator under its canonical text key."""
         data = ctx.steps.get(key)
         if data is None:
-            if ctx.points is None:
-                one = SparsePolynomial.one(ctx.N)
-                pieces = boundary_decompose(
-                    ZetaInstance(one, ctx.Ps, ctx.mus), ctx.a
-                )
-                ctx.points = [
-                    _Point(ctx.Ps, ctx.mus, piece.point)
-                    for piece in pieces
-                    if isinstance(piece, PointTerm)
-                ]
-                ctx.restricted = [
-                    (piece, self.context(piece.sub.Ps, piece.sub.mus))
-                    for piece in pieces
-                    if isinstance(piece, Restricted)
-                ]
             if numerator is None:
                 numerator = SparsePolynomial._raw(ctx.N, {key: 1})
             data = _Step(ctx, numerator)
@@ -674,15 +643,11 @@ def _as_k(inst: ZetaInstance, k) -> tuple[int, ...]:
     return k
 
 
-def _session(cache, index_form) -> ValueCache:
+def _session(cache) -> ValueCache:
     if cache is None:
-        return ValueCache(index_form or "residual")
+        return ValueCache()
     if not isinstance(cache, ValueCache):
         raise TypeError("cache must be a ValueCache")
-    if index_form is not None and index_form != cache.index_form:
-        raise ValueError(
-            "session index_form conflicts with the explicit argument"
-        )
     return cache
 
 
@@ -692,7 +657,6 @@ def special_value(
     *,
     shift: Union[str, Sequence[int], ShiftVector] = "default",
     cache: ValueCache | None = None,
-    index_form: str | None = None,
 ) -> Scalar:
     """Z(Q; P_1..P_T; mu; -k) by the shift-and-difference recurrence.
 
@@ -706,11 +670,13 @@ def special_value(
     value: in exact mode the result is stored only under a free key, in
     approx mode (where it differs from the default in the last bits) not
     at all.  Everything in the step that does not depend on k is built
-    once per session.  V-table misses are evaluated from one explicit
-    stack, so a deep k needs no Python stack in either index form.
+    once per session.  The index form of the u-sum is the session's,
+    set by ValueCache(index_form) (a fresh residual session when cache
+    is None).  V-table misses are evaluated from one explicit stack, so
+    a deep k needs no Python stack in either index form.
     """
     k = _as_k(inst, k)
-    session = _session(cache, index_form)
+    session = _session(cache)
     key = session.value_key(inst, k)
     if inst.Q.is_zero:
         return inst.mus.zero_scalar()
@@ -740,7 +706,6 @@ def linear_special_value(
     a: Union[str, Sequence[int], ShiftVector] = "default",
     *,
     cache: ValueCache | None = None,
-    index_form: str | None = None,
 ) -> Scalar:
     """Fast path for Q = 1 and linear forms L_t with positive
     coefficients, each variable occurring in some L_t.
@@ -765,7 +730,7 @@ def linear_special_value(
                 f"no linear factor depends on X{n}"
             )
     shift = choose_shift(inst.mus, a)
-    return _session(cache, index_form)._value_in(inst, k, shift.a)
+    return _session(cache)._value_in(inst, k, shift.a)
 
 
 @dataclass(frozen=True)
@@ -846,7 +811,6 @@ def quadratic_special_value(
     a: Union[ShiftVector, Sequence[int]],
     *,
     cache: ValueCache | None = None,
-    index_form: str | None = None,
 ) -> Scalar:
     """Value of Z(1; P_1..P_T; mu; -k) for structured quadratics along a
     shift orthogonal to every square term.
@@ -862,4 +826,4 @@ def quadratic_special_value(
     shift = choose_shift(mus, a)
     for P in Ps:
         quadratic_delta(P, shift)
-    return _session(cache, index_form)._value_in(inst, k, shift.a)
+    return _session(cache)._value_in(inst, k, shift.a)

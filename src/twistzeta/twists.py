@@ -183,12 +183,6 @@ class TwistVector:
             return CyclotomicField.get(self.order).one
         return 1 + 0j
 
-    def lift(self, q) -> Scalar:
-        """Embed a rational (or int) constant as a Scalar."""
-        if self.mode == "exact":
-            return CyclotomicField.get(self.order).constant(q)
-        return complex(float(q))
-
     def scale(self, s: Scalar, q) -> Scalar:
         """Multiply a Scalar by an exact rational, staying in mode."""
         if self.mode == "exact":

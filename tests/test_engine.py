@@ -218,10 +218,6 @@ def test_index_forms_agree_with_fresh_sessions():
 
 
 def test_session_index_form_conflicts_are_rejected():
-    inst = _alt_1d()
-    session = ValueCache("consumed")
-    with pytest.raises(ValueError):
-        special_value(inst, (1,), cache=session, index_form="residual")
     with pytest.raises(ValueError):
         ValueCache("sideways")
 
@@ -242,6 +238,27 @@ def test_cache_hits_are_returned():
 def test_choose_shift_default_is_first_unit_vector():
     mus = TwistVector.exact(4, [1, 3, 2])
     assert choose_shift(mus).a == (1, 0, 0)
+
+
+def test_choose_shift_default_skips_ill_conditioned_units():
+    # mu_1 lies within the approx tolerance of 1, so e_1 is refused as
+    # an explicit shift and the default pick must pass it over too
+    mus = TwistVector.approx([1e-9, 2.0])
+    assert choose_shift(mus).a == (0, 1)
+    with pytest.raises(MuPowerIsOne):
+        choose_shift(mus, (1, 0))
+    with pytest.raises(ApproxIllConditioned):
+        choose_shift(TwistVector.approx([1e-9, math.tau - 1e-9]))
+
+
+def test_default_context_is_the_context_of_the_default_pick():
+    X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+    Ps = (X1 + X2 * 2 + 1,)
+    exact = TwistVector.exact(6, [1, 5])
+    for mus in (exact, exact.to_approx()):
+        session = ValueCache()
+        ctx = session.context(Ps, mus)
+        assert ctx is session.context(Ps, mus, choose_shift(mus).a)
 
 
 def test_choose_shift_validates_explicit_vectors():
@@ -556,7 +573,9 @@ def test_deep_k_needs_no_deep_stack():
     script = textwrap.dedent(
         """
         import sys
-        from twistzeta import TwistVector, ZetaInstance, special_value
+        from twistzeta import (
+            TwistVector, ValueCache, ZetaInstance, special_value,
+        )
         from twistzeta.closedform import closed_value
         from twistzeta.multipoly import SparsePolynomial
 
@@ -574,12 +593,12 @@ def test_deep_k_needs_no_deep_stack():
         want_quad = closed_value(quad.Q, quad.Ps, (20,), quad.mus)
         for form in ("residual", "consumed"):
             sys.setrecursionlimit(120)
-            got = special_value(line, (300,), index_form=form)
+            got = special_value(line, (300,), cache=ValueCache(form))
             assert got == want_line, form
             sys.setrecursionlimit(60)
             for shift in ("default", "all-ones"):
                 got = special_value(
-                    quad, (20,), shift=shift, index_form=form
+                    quad, (20,), shift=shift, cache=ValueCache(form)
                 )
                 assert got == want_quad, (form, shift)
             print(form, "ok")
