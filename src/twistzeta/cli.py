@@ -172,28 +172,29 @@ def _compute_record(
     tags = []
     v_rec = None
     v_clo = None
+    approx = None
     if method in ("recurrence", "both"):
         v_rec = special_value(inst, k, shift=shift, cache=session)
         tags.append("recurrence")
+        # a value with no double form stops here, before the closed route
+        approx = v_rec.embed() if exact_mode else v_rec
     if method in ("closed", "both"):
         v_clo = closed_value(inst.Q, inst.Ps, k, inst.mus)
         if fault:
             v_clo = v_clo + inst.mus.one_scalar()
         tags.append("closed")
+        if approx is None:
+            approx = v_clo.embed() if exact_mode else v_clo
     agree = None
     if v_rec is not None and v_clo is not None:
         agree = _agrees(v_rec, v_clo)
     value = v_rec if v_rec is not None else v_clo
-    if exact_mode:
-        return ValueRecord(
-            k=k,
-            exact=value,
-            approx=value.embed(),
-            method=tuple(tags),
-            agree=agree,
-        )
     return ValueRecord(
-        k=k, exact=None, approx=value, method=tuple(tags), agree=agree
+        k=k,
+        exact=value if exact_mode else None,
+        approx=approx,
+        method=tuple(tags),
+        agree=agree,
     )
 
 

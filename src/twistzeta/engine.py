@@ -173,10 +173,7 @@ def choose_shift(
             for a in units + [(1,) * N]:
                 if not _scalar_is_one(mus, mu_power(mus, a)):
                     return ShiftVector(a)
-            raise ApproxIllConditioned(
-                f"every candidate shift has mu^a within "
-                f"{_APPROX_SHIFT_TOL:g} of 1"
-            )
+            raise _ill_conditioned(range(1, N + 1))
         if policy == "all-ones":
             a = ShiftVector((1,) * N)
         else:
@@ -192,6 +189,29 @@ def choose_shift(
     if _scalar_is_one(mus, mu_power(mus, a.a)):
         raise MuPowerIsOne(f"mu^{a.a} equals 1; pick another shift")
     return a
+
+
+def _ill_conditioned(twists, fixed=(), a=None) -> ApproxIllConditioned:
+    """The refusal for twists within _APPROX_SHIFT_TOL of 1, raised in
+    the series itself (no fixed coordinates) or in the boundary stratum
+    of shift a where the coordinates fixed are frozen."""
+    twists = tuple(twists)
+    names = " and ".join(f"mu_{i}" for i in twists)
+    verb = "lies" if len(twists) == 1 else "lie"
+    text = f"{names} {verb} within {_APPROX_SHIFT_TOL:g} of 1"
+    if fixed:
+        frozen = ", ".join(f"m_{j} = {b}" for j, b in fixed)
+        free = " and ".join(f"m_{i}" for i in twists)
+        text += (
+            f", so the boundary stratum {frozen} of shift {a}, a sum over "
+            f"{free} alone, has no shift with mu^a away from 1"
+        )
+    else:
+        text += (
+            f", so every candidate shift has mu^a within "
+            f"{_APPROX_SHIFT_TOL:g} of 1"
+        )
+    return ApproxIllConditioned(text, twists, fixed)
 
 
 @dataclass(frozen=True)
@@ -486,13 +506,26 @@ class ValueCache:
                     if isinstance(piece, PointTerm)
                 ]
                 restricted = [
-                    (piece, self.context(piece.sub.Ps, piece.sub.mus))
+                    (piece, self._sub_context(piece, a))
                     for piece in pieces
                     if isinstance(piece, Restricted)
                 ]
                 ctx = _Context(Ps, mus, a, restricted, points)
             self._contexts[key] = ctx
         return ctx
+
+    def _sub_context(self, piece: Restricted, a: tuple[int, ...]) -> _Context:
+        """The default context of a restricted piece of shift a.  An
+        approx refusal in it is raised again in the variables of the
+        series that has the piece, naming the stratum."""
+        try:
+            return self.context(piece.sub.Ps, piece.sub.mus)
+        except ApproxIllConditioned as exc:
+            kept = piece.kept
+            fixed = piece.fixed + tuple((kept[j - 1], b) for j, b in exc.fixed)
+            raise _ill_conditioned(
+                (kept[i - 1] for i in exc.twists), sorted(fixed), a
+            ) from None
 
     def _step_data(self, ctx: _Context, key, numerator=None) -> _Step:
         """The step data in ctx of X^key for an exponent tuple key, or of

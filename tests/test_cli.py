@@ -193,6 +193,31 @@ def test_ill_conditioned_approx_exits_4(tmp_path, capsys):
     assert "engine error:" in err
 
 
+@pytest.mark.parametrize("near", [1, 2])
+def test_ill_conditioned_refusal_names_twist_and_stratum(
+        tmp_path, capsys, near):
+    # one twist within the tolerance of 1: the shift along the other one
+    # is well conditioned, but its boundary stratum sums over the near-1
+    # twist alone
+    far = 3 - near
+    angles = [2.0, 2.0]
+    angles[near - 1] = 1e-9
+    doc = json.loads(Path(LINEAR).read_text())
+    doc["twist"] = {"mode": "approx", "angles": angles}
+    path = tmp_path / "near_one.json"
+    path.write_text(json.dumps(doc))
+    shift = ",".join(str(int(i == far)) for i in (1, 2))
+    a = tuple(int(i == far) for i in (1, 2))
+    for extra in (("--shift", shift), ()):
+        rc, out, err = run_cli(capsys, "value", str(path), "1", *extra)
+        assert (rc, out) == (4, "")
+        assert err == (
+            f"engine error: mu_{near} lies within 1e-06 of 1, so the "
+            f"boundary stratum m_{far} = 1 of shift {a}, a sum over "
+            f"m_{near} alone, has no shift with mu^a away from 1\n"
+        )
+
+
 def test_shift_near_the_tolerance_is_skipped_not_fatal(tmp_path, capsys):
     # mu_1 mu_2 = exp(5e-10 i): the all-ones shift and its multiples sit
     # inside the conditioning tolerance, so verify must pick other shifts
@@ -543,6 +568,30 @@ def test_value_at_large_k_exits_cleanly(tmp_path):
         for proc in procs:
             proc.kill()
             proc.wait()
+
+
+def test_both_methods_stop_when_the_recurrence_has_no_double_form(
+        tmp_path, capsys, monkeypatch):
+    # 3X + 2 at r = 3, k = 170 exceeds the double range: the closed route
+    # must not run once the recurrence value fails to embed
+    doc = tmp_path / "linear.json"
+    doc.write_text(json.dumps({
+        "nvars": 1, "nfactors": 1,
+        "twist": {"mode": "exact", "order": 3, "exponents": [1]},
+        "Q": [{"coef": "1", "exps": [0]}],
+        "Ps": [[{"coef": "3", "exps": [1]}, {"coef": "2", "exps": [0]}]],
+    }))
+    rc, out, err = run_cli(capsys, "value", str(doc), "170",
+                           "--method", "closed")
+    assert (rc, out) == (4, "")
+    assert err == "engine error: value exceeds the double range; no decimal form\n"
+
+    def refuse(*args):
+        raise AssertionError("closed route ran after the failed embed")
+
+    monkeypatch.setattr(cli, "closed_value", refuse)
+    assert run_cli(capsys, "value", str(doc), "170", "--method", "both") == (
+        4, "", err)
 
 
 def _script_argv():

@@ -247,8 +247,24 @@ def test_choose_shift_default_skips_ill_conditioned_units():
     assert choose_shift(mus).a == (0, 1)
     with pytest.raises(MuPowerIsOne):
         choose_shift(mus, (1, 0))
-    with pytest.raises(ApproxIllConditioned):
+    with pytest.raises(ApproxIllConditioned) as info:
         choose_shift(TwistVector.approx([1e-9, math.tau - 1e-9]))
+    assert (info.value.twists, info.value.fixed) == ((1, 2), ())
+    assert str(info.value).startswith("mu_1 and mu_2 lie within 1e-06 of 1")
+
+
+def test_ill_conditioned_stratum_is_named_in_the_queried_variables():
+    # the near-1 twist mu_2 has no shift of its own: every shift of the
+    # three-variable series meets it in a boundary stratum, directly or
+    # in a stratum of a stratum
+    X = [SparsePolynomial.variable(3, i) for i in (1, 2, 3)]
+    inst = ZetaInstance(SparsePolynomial.one(3), (X[0] + X[1] + X[2],),
+                        TwistVector.approx([2.0, 1e-9, 3.0]))
+    for shift in ("default", (1, 0, 0), (0, 0, 1), (1, 1, 1)):
+        with pytest.raises(ApproxIllConditioned) as info:
+            special_value(inst, (1,), shift=shift)
+        assert info.value.twists == (2,)
+        assert info.value.fixed == ((1, 1), (3, 1))
 
 
 def test_default_context_is_the_context_of_the_default_pick():
