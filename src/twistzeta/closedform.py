@@ -10,11 +10,12 @@ recurrence machinery, so it serves as an independent oracle for it.
 E is a product of SparsePolynomials, so it runs on integer numerators
 over one denominator and closed_value reads E's stored table.
 
-The sum is separable, so exact mode contracts it one variable at a
-time against the rows zeta_{mu_n}(-j): the last variable by one integer
-lincomb per exponent prefix, each earlier one by one field product per
-prefix, and E's denominator divides once at the end.  Approx mode sums
-monomial by monomial in graded order instead, which fixes its doubles.
+The sum is separable, so both modes contract it one variable at a
+time against the rows zeta_{mu_n}(-j): the last variable by one lincomb
+per exponent prefix, with E's integer numerators as weights, each
+earlier one by one product per prefix, and E's denominator divides once
+at the end.  Approx mode walks E in sorted exponent order, so its
+doubles do not depend on the path each product of the expansion took.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .cyclotomic import CyclotomicField
 from .errors import DimensionMismatch
-from .multipoly import SparsePolynomial, graded_terms
-from .twists import Scalar, TwistVector, monomial_sum, negapolylog
+from .multipoly import SparsePolynomial
+from .twists import Scalar, TwistVector, negapolylog
 
 __all__ = ["closed_value", "expand_numerator"]
 
@@ -57,13 +57,14 @@ def closed_value(
 ) -> Scalar:
     """Z(Q; P_1..P_T; mu; -k) by the separable closed formula.
 
-    Exact mode groups E's numerators by exponent prefix and sums each
-    group's last variable in one CyclotomicField.lincomb over the values
+    E's numerators are grouped by exponent prefix, and each group's last
+    variable is summed in one TwistVector.lincomb over the values
     zeta_{mu_N}(-a_N) with the integer numerators as weights; contracting
-    variable n < N then costs one field product zeta_{mu_n}(-a_n) times
-    the inner sum per distinct prefix (a_1..a_n), so N = 1 makes none.
-    Approx mode sums prod_n zeta_{mu_n}(-alpha_n) monomial by monomial in
-    descending graded order.
+    variable n < N then costs one product zeta_{mu_n}(-a_n) times the
+    inner sum per distinct prefix (a_1..a_n), so N = 1 makes none.  The
+    one step that depends on the mode: approx mode takes E's terms in
+    sorted exponent order, since its sums follow term order and E's key
+    order follows the product path mul_terms took.
 
     >>> from twistzeta import TwistVector
     >>> one, X = SparsePolynomial.one(1), SparsePolynomial.variable(1, 1)
@@ -75,15 +76,12 @@ def closed_value(
             f"{Q.nvars} variables against {len(mus)} twists"
         )
     E = expand_numerator(Q, Ps, k)
+    lincomb, zero = mus.lincomb, mus.zero_scalar()
+    level = E.nums  # prefix -> int numerator, then -> Scalar
     if mus.mode != "exact":
-        return mus.lincomb(
-            ((monomial_sum(alpha, mus), c)
-             for alpha, c in graded_terms(E.nums)),
-            E.den,
-        )
-    field = CyclotomicField.get(mus.order)
+        # approx sums follow key order, which must not follow mul_terms
+        level = dict(sorted(level.items()))
     nvars = len(mus)
-    level = E.nums  # prefix -> int numerator, then -> field element
     for n in range(nvars, 0, -1):
         mu = mus.single(n)
         groups: dict = {}
@@ -93,5 +91,5 @@ def closed_value(
                 (x, c) if n == nvars else (x * c, 1)
             )
         den = E.den if n == 1 else 1
-        level = {p: field.lincomb(pairs, den) for p, pairs in groups.items()}
-    return level.get((), field.zero)
+        level = {p: lincomb(pairs, den) for p, pairs in groups.items()}
+    return level.get((), zero)

@@ -159,21 +159,19 @@ def choose_shift(
 ) -> ShiftVector:
     """Pick or validate a shift vector for the given twists.
 
-    policy 'default' returns e_1 in exact mode, always usable since
-    mu_1 != 1, and in approx mode the first well conditioned one of
-    e_1..e_N, all-ones, raising ApproxIllConditioned if there is none;
-    'all-ones' and explicit vectors are validated against mu^a = 1.
+    policy 'default' returns e_1, always usable in exact mode since
+    mu_1 != 1; in approx mode it raises ApproxIllConditioned when mu_1
+    lies within _APPROX_SHIFT_TOL of 1.  No other shift would do then:
+    each one sums over m_1 in the series or in a boundary stratum, whose
+    default shift is e_1 again.  'all-ones' and explicit vectors are
+    validated against mu^a = 1.
     """
     N = len(mus)
     if isinstance(policy, str):
         if policy == "default":
-            units = [tuple(int(i == n) for i in range(N)) for n in range(N)]
-            if mus.mode == "exact":
-                return ShiftVector(units[0])
-            for a in units + [(1,) * N]:
-                if not _scalar_is_one(mus, mu_power(mus, a)):
-                    return ShiftVector(a)
-            raise _ill_conditioned(range(1, N + 1))
+            if mus.mode == "approx" and _scalar_is_one(mus, mus.mu(1)):
+                raise _ill_conditioned(1)
+            return ShiftVector((1,) + (0,) * (N - 1))
         if policy == "all-ones":
             a = ShiftVector((1,) * N)
         else:
@@ -191,27 +189,25 @@ def choose_shift(
     return a
 
 
-def _ill_conditioned(twists, fixed=(), a=None) -> ApproxIllConditioned:
-    """The refusal for twists within _APPROX_SHIFT_TOL of 1, raised in
-    the series itself (no fixed coordinates) or in the boundary stratum
-    of shift a where the coordinates fixed are frozen."""
-    twists = tuple(twists)
-    names = " and ".join(f"mu_{i}" for i in twists)
-    verb = "lies" if len(twists) == 1 else "lie"
-    text = f"{names} {verb} within {_APPROX_SHIFT_TOL:g} of 1"
-    if fixed:
-        frozen = ", ".join(f"m_{j} = {b}" for j, b in fixed)
-        free = " and ".join(f"m_{i}" for i in twists)
-        text += (
-            f", so the boundary stratum {frozen} of shift {a}, a sum over "
-            f"{free} alone, has no shift with mu^a away from 1"
-        )
+def _ill_conditioned(i: int, fixed=(), a=None) -> ApproxIllConditioned:
+    """The refusal for mu_i within _APPROX_SHIFT_TOL of 1, raised in the
+    series itself as its mu_1 (no fixed coordinates) or in the boundary
+    stratum of shift a where the coordinates fixed are frozen."""
+    text = f"mu_{i} lies within {_APPROX_SHIFT_TOL:g} of 1"
+    if not fixed:
+        text += ", so the default shift e_1 has mu^a as close to 1"
     else:
-        text += (
-            f", so every candidate shift has mu^a within "
-            f"{_APPROX_SHIFT_TOL:g} of 1"
-        )
-    return ApproxIllConditioned(text, twists, fixed)
+        frozen = ", ".join(f"m_{j} = {b}" for j, b in fixed)
+        free = [n for n in range(1, len(a) + 1) if n not in dict(fixed)]
+        text += f", so the boundary stratum {frozen} of shift {a}, a sum"
+        if free == [i]:
+            text += f" over m_{i} alone, has no shift with mu^a away from 1"
+        else:
+            text += (
+                f" over {' and '.join(f'm_{n}' for n in free)}, has mu^a as "
+                f"close to 1 on its default shift, along m_{i}"
+            )
+    return ApproxIllConditioned(text, (i,), fixed)
 
 
 @dataclass(frozen=True)
@@ -524,7 +520,7 @@ class ValueCache:
             kept = piece.kept
             fixed = piece.fixed + tuple((kept[j - 1], b) for j, b in exc.fixed)
             raise _ill_conditioned(
-                (kept[i - 1] for i in exc.twists), sorted(fixed), a
+                kept[exc.twists[0] - 1], sorted(fixed), a
             ) from None
 
     def _step_data(self, ctx: _Context, key, numerator=None) -> _Step:

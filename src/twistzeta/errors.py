@@ -47,12 +47,12 @@ class OrthogonalityViolated(TwistZetaError):
 
 
 class ApproxIllConditioned(TwistZetaError):
-    """|1 - mu^a| is below tolerance for every candidate shift.
+    """A twist within tolerance of 1 leaves no well-conditioned shift.
 
-    twists holds the 1-based indices of the twists within tolerance of
-    1, and fixed the frozen coordinates (j, b_j) of the boundary stratum
-    whose series has no usable shift, empty when that is the series
-    queried itself; both count in the variables of the queried series."""
+    twists holds the 1-based index of that twist, and fixed the frozen
+    coordinates (j, b_j) of the boundary stratum whose default shift is
+    refused, empty when that is the series queried itself; both count in
+    the variables of the queried series."""
 
     def __init__(self, message: str, twists=(), fixed=()):
         super().__init__(message)

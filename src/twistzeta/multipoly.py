@@ -259,7 +259,10 @@ class SparsePolynomial:
 
         kept lists the surviving 1-based indices; fixed maps every other
         index j to a value b_j in {1..a_j}.  The kept variables are
-        renumbered in increasing original order.
+        renumbered in increasing original order.  X_j = b_j is folded
+        into the coefficients first, and one shift_terms call then
+        substitutes a_i + d, so with every kept a_i = 0 the terms keep
+        the order in which the folding met them.
         """
         a = tuple(int(x) for x in a)
         if len(a) != self.nvars:
@@ -279,36 +282,22 @@ class SparsePolynomial:
                 raise RestrictionRange(
                     f"b_{j} = {b} outside 1..{a[j - 1]}"
                 )
-        q = len(kept)
-        pos = {i: t for t, i in enumerate(kept)}
-        out: dict = {}
+        frozen: dict = {}
         for exps, coef in self.nums.items():
-            # multiplier from the fixed coordinates
             for j in comp:
                 e = exps[j - 1]
                 if e:
                     coef = coef * (fixed[j] ** e)
-            # expand prod_i (a_i + d_i)^(e_i) over the kept coordinates
-            partial = {(0,) * q: coef}
-            for i in kept:
-                e = exps[i - 1]
-                if e == 0:
-                    continue
-                ai, t = a[i - 1], pos[i]
-                # (a_i + d)^e, just d^e when a_i = 0
-                base = {
-                    tuple(d if s == t else 0 for s in range(q)):
-                        math.comb(e, d) * ai ** (e - d)
-                    for d in range(e + 1) if ai or d == e
-                }
-                partial = kernels.mul_terms(partial, base)
-            for mono, c in partial.items():
-                s = out.get(mono, 0) + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return SparsePolynomial._reduced(q, out, self.den)
+            mono = tuple(exps[i - 1] for i in kept)
+            s = frozen.get(mono, 0) + coef
+            if s:
+                frozen[mono] = s
+            else:
+                del frozen[mono]
+        a_kept = tuple(a[i - 1] for i in kept)
+        return SparsePolynomial._reduced(
+            len(kept), kernels.shift_terms(frozen, a_kept), self.den
+        )
 
     def eval(self, point: Iterable) -> "Rational":
         """Exact evaluation at a point of rationals or ints.

@@ -6,6 +6,7 @@ The corpora are seeded, so a failure replays deterministically.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -273,15 +274,17 @@ def test_criterion_9_cli_contract(capsys, tmp_path):
     doc_path = str(PROBLEMS / "alternating_linear.json")
     ok = True
     notes = []
+    env = dict(os.environ, PYTHONPATH=str(PROBLEMS.parent / "src"))
 
     clean = subprocess.run(_script_argv() + ["verify", doc_path],
-                           capture_output=True, text=True, timeout=300)
+                           capture_output=True, text=True, timeout=300,
+                           env=env)
     ok = ok and clean.returncode == 0 and "verify: PASS" in clean.stdout
     notes.append(f"verify rc={clean.returncode}")
 
     fault = subprocess.run(
         _script_argv() + ["verify", doc_path, "--inject-fault"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     ok = ok and fault.returncode == 3 and "counterexample" in fault.stdout
     notes.append(f"fault rc={fault.returncode}")
@@ -292,7 +295,7 @@ def test_criterion_9_cli_contract(capsys, tmp_path):
 
     runs = [
         subprocess.run(_script_argv() + ["table", doc_path],
-                       capture_output=True, text=True, timeout=300)
+                       capture_output=True, text=True, timeout=300, env=env)
         for _ in range(2)
     ]
     ok = ok and runs[0].stdout == runs[1].stdout and runs[0].returncode == 0
@@ -302,7 +305,8 @@ def test_criterion_9_cli_contract(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{]")
     parse = subprocess.run(_script_argv() + ["value", str(bad), "0"],
-                           capture_output=True, text=True, timeout=300)
+                           capture_output=True, text=True, timeout=300,
+                           env=env)
     ok = ok and parse.returncode == 2
     notes.append(f"parse-error rc={parse.returncode}")
 

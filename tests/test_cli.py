@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,9 @@ import pytest
 
 from twistzeta import cli
 from twistzeta.cli import main
+from twistzeta.closedform import closed_value
+from twistzeta.cyclotomic import _embed_fixed
+from twistzeta.document import ProblemDocument
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -208,14 +212,19 @@ def test_ill_conditioned_refusal_names_twist_and_stratum(
     path.write_text(json.dumps(doc))
     shift = ",".join(str(int(i == far)) for i in (1, 2))
     a = tuple(int(i == far) for i in (1, 2))
-    for extra in (("--shift", shift), ()):
+    stratum = (
+        f"engine error: mu_{near} lies within 1e-06 of 1, so the "
+        f"boundary stratum m_{far} = 1 of shift {a}, a sum over "
+        f"m_{near} alone, has no shift with mu^a away from 1\n"
+    )
+    # the default shift is e_1, refused outright when mu_1 is the near one
+    default = stratum if near == 2 else (
+        "engine error: mu_1 lies within 1e-06 of 1, so the default shift "
+        "e_1 has mu^a as close to 1\n"
+    )
+    for extra, want in ((("--shift", shift), stratum), ((), default)):
         rc, out, err = run_cli(capsys, "value", str(path), "1", *extra)
-        assert (rc, out) == (4, "")
-        assert err == (
-            f"engine error: mu_{near} lies within 1e-06 of 1, so the "
-            f"boundary stratum m_{far} = 1 of shift {a}, a sum over "
-            f"m_{near} alone, has no shift with mu^a away from 1\n"
-        )
+        assert (rc, out, err) == (4, "", want)
 
 
 def test_shift_near_the_tolerance_is_skipped_not_fatal(tmp_path, capsys):
@@ -333,6 +342,32 @@ def test_problem_output_is_pinned(capsys, case):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == case["rc"], err
     assert out == case["stdout"]
+
+
+def test_pinned_approx_doubles_are_accurate():
+    # every approx double pinned above for a document with exact twists
+    # (the k= lines of value, table and verify) lies within 1e-13 relative
+    # of the correctly rounded decimal of the exact closed value, or
+    # within 1e-13 absolute where that value is 0: a golden line that
+    # moves in the last bits must still pass
+    line = re.compile(r"k=([\d,]+) .*?(?:approx|value)=(\S+),(\S+) ")
+    checked = 0
+    for case in CLOSED_GOLDEN + APPROX_SHIFT_GOLDEN + PROBLEMS_GOLDEN:
+        if "approx" not in case["argv"]:
+            continue
+        doc = ProblemDocument.from_json(
+            (ROOT / case["argv"][1]).read_text(encoding="utf-8"))
+        if doc.mus.mode != "exact":
+            continue
+        for m in line.finditer(case["stdout"]):
+            k = tuple(int(x) for x in m[1].split(","))
+            got = complex(float(m[2]), float(m[3]))
+            exact = closed_value(doc.Q, doc.Ps, k, doc.mus)
+            want = _embed_fixed(exact.num, exact.den, doc.mus.order)
+            error = abs(got - want) / abs(want) if want else abs(got)
+            assert error <= 1e-13, (case["argv"], k, got, want)
+            checked += 1
+    assert checked == 158
 
 
 def test_embed_survives_cancelling_coordinates(tmp_path, capsys):
@@ -602,16 +637,17 @@ def _script_argv():
 
 
 def test_console_script_end_to_end(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         _script_argv() + ["verify", LINEAR],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "verify: PASS" in proc.stdout
 
     fault = subprocess.run(
         _script_argv() + ["verify", LINEAR, "--inject-fault"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert fault.returncode == 3
     assert "counterexample" in fault.stdout

@@ -248,7 +248,7 @@ def test_contraction_costs_one_product_per_prefix(monkeypatch, N):
     # the last variable is summed by an integer lincomb, so the field
     # products are one per distinct exponent prefix (a_1..a_n), n < N:
     # for N = 2 the distinct first-variable exponents of E, for N = 1 none
-    from twistzeta import closedform, twists
+    from twistzeta import twists
     from twistzeta.cyclotomic import CyclotomicElement
 
     X = [SparsePolynomial.variable(N, i) for i in range(1, N + 1)]
@@ -272,7 +272,6 @@ def test_contraction_costs_one_product_per_prefix(monkeypatch, N):
         raise AssertionError("monomial_sum on the exact closed route")
 
     monkeypatch.setattr(CyclotomicElement, "__mul__", counted)
-    monkeypatch.setattr(closedform, "monomial_sum", refuse)
     monkeypatch.setattr(twists, "monomial_sum", refuse)
     got = closed_value(Q, (P,), k, mus)
     monkeypatch.undo()

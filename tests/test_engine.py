@@ -240,31 +240,81 @@ def test_choose_shift_default_is_first_unit_vector():
     assert choose_shift(mus).a == (1, 0, 0)
 
 
-def test_choose_shift_default_skips_ill_conditioned_units():
-    # mu_1 lies within the approx tolerance of 1, so e_1 is refused as
-    # an explicit shift and the default pick must pass it over too
-    mus = TwistVector.approx([1e-9, 2.0])
-    assert choose_shift(mus).a == (0, 1)
+def test_choose_shift_default_refuses_a_near_one_mu_1():
+    # e_1 is the only default pick: with mu_1 within the approx tolerance
+    # of 1, on either side, it is refused at once and names mu_1, while a
+    # near-1 twist elsewhere leaves the pick to the boundary strata
+    for angles in ([1e-9, 2.0], [math.tau - 1e-9, 2.0],
+                   [1e-9, math.tau - 1e-9]):
+        with pytest.raises(ApproxIllConditioned) as info:
+            choose_shift(TwistVector.approx(angles))
+        assert (info.value.twists, info.value.fixed) == ((1,), ())
+        assert str(info.value) == (
+            "mu_1 lies within 1e-06 of 1, so the default shift e_1 has "
+            "mu^a as close to 1"
+        )
     with pytest.raises(MuPowerIsOne):
-        choose_shift(mus, (1, 0))
-    with pytest.raises(ApproxIllConditioned) as info:
-        choose_shift(TwistVector.approx([1e-9, math.tau - 1e-9]))
-    assert (info.value.twists, info.value.fixed) == ((1, 2), ())
-    assert str(info.value).startswith("mu_1 and mu_2 lie within 1e-06 of 1")
+        choose_shift(TwistVector.approx([1e-9, 2.0]), (1, 0))
+    assert choose_shift(TwistVector.approx([2.0, 1e-9])).a == (1, 0)
+
+
+def _near_one_sweep():
+    # N = 1..3, the near-1 twist 1e-9 from 1 on either side in every
+    # position, against the default, all-ones and every shift with
+    # entries <= 2
+    for N in (1, 2, 3):
+        shifts = ["default", "all-ones"] + [
+            a for a in itertools.product(range(3), repeat=N) if any(a)
+        ]
+        for pos in range(N):
+            for near in (1e-9, math.tau - 1e-9):
+                angles = [2.0 + n for n in range(N)]
+                angles[pos] = near
+                for shift in shifts:
+                    yield N, tuple(angles), shift
+
+
+def test_no_shift_yields_a_value_with_a_near_one_twist():
+    # no shift evaluates a series with a twist within the approx
+    # tolerance of 1: each one is refused up front (mu^a near 1) or meets
+    # the near-1 twist in the series or in a boundary stratum
+    cases = list(_near_one_sweep())
+    assert len(cases) == 216
+    for N, angles, shift in cases:
+        X = [SparsePolynomial.variable(N, i) for i in range(1, N + 1)]
+        inst = ZetaInstance(SparsePolynomial.one(N), (sum(X[1:], X[0]),),
+                            TwistVector.approx(angles))
+        with pytest.raises((ApproxIllConditioned, MuPowerIsOne)):
+            special_value(inst, (1,), shift=shift)
 
 
 def test_ill_conditioned_stratum_is_named_in_the_queried_variables():
     # the near-1 twist mu_2 has no shift of its own: every shift of the
-    # three-variable series meets it in a boundary stratum, directly or
+    # three-variable series meets it in a boundary stratum, one over m_2
+    # and m_3 whose default shift runs along m_2, or one over m_2 alone
     # in a stratum of a stratum
     X = [SparsePolynomial.variable(3, i) for i in (1, 2, 3)]
     inst = ZetaInstance(SparsePolynomial.one(3), (X[0] + X[1] + X[2],),
                         TwistVector.approx([2.0, 1e-9, 3.0]))
-    for shift in ("default", (1, 0, 0), (0, 0, 1), (1, 1, 1)):
+    texts = {}
+    for shift, fixed in (("default", ((1, 1),)), ((1, 0, 0), ((1, 1),)),
+                         ((0, 0, 1), ((1, 1), (3, 1))),
+                         ((1, 1, 1), ((1, 1), (3, 1)))):
         with pytest.raises(ApproxIllConditioned) as info:
             special_value(inst, (1,), shift=shift)
         assert info.value.twists == (2,)
-        assert info.value.fixed == ((1, 1), (3, 1))
+        assert info.value.fixed == fixed
+        texts[shift] = str(info.value)
+    assert texts["default"] == (
+        "mu_2 lies within 1e-06 of 1, so the boundary stratum m_1 = 1 of "
+        "shift (1, 0, 0), a sum over m_2 and m_3, has mu^a as close to 1 "
+        "on its default shift, along m_2"
+    )
+    assert texts[(1, 1, 1)] == (
+        "mu_2 lies within 1e-06 of 1, so the boundary stratum m_1 = 1, "
+        "m_3 = 1 of shift (1, 1, 1), a sum over m_2 alone, has no shift "
+        "with mu^a away from 1"
+    )
 
 
 def test_default_context_is_the_context_of_the_default_pick():
@@ -788,3 +838,34 @@ def test_products_above_the_packed_threshold_keep_every_value(monkeypatch):
     assert got_table.keys() == want_table.keys()
     assert all(bits(got_table[key]) == bits(want_table[key])
                for key in want_table)
+
+
+def test_closed_route_keeps_its_approx_doubles_when_products_pack(
+        monkeypatch):
+    # approx mode sums the closed formula in key order, and E's key order
+    # follows the path each product of its expansion took; the closed
+    # route walks E in sorted exponent order, so its doubles are the same,
+    # bit for bit, whether the expansion packs or not
+    X1, X2 = SparsePolynomial.variable(2, 1), SparsePolynomial.variable(2, 2)
+    P = X1 * X1 + X1 * X2 + 3 * X2 + 1
+    one = SparsePolynomial.one(2)
+    mus = TwistVector.exact(5, [1, 2]).to_approx()
+    packed_terms = _kernels_py._packed_terms
+    packed = []
+
+    def spy_packed(A, B):
+        out = packed_terms(A, B)
+        packed.append(out is not None)
+        return out
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    monkeypatch.setattr(_kernels_py, "_packed_terms", spy_packed)
+    got = closed_value(one, (P,), (14,), mus)
+    assert any(packed)
+    monkeypatch.setattr(_kernels_py, "KS_MIN_PAIRS", 10 ** 9)
+    packed.clear()
+    want = closed_value(one, (P,), (14,), mus)
+    assert not any(packed)
+    assert bits(got) == bits(want)

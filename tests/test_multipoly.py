@@ -259,27 +259,12 @@ def _fshift(A, a):
 
 
 def _frestrict(A, a, kept, fixed):
-    q = len(kept)
-    unit = [tuple(int(s == t) for s in range(q)) for t in range(q)]
-    out = {}
+    folded = {}
     for e, c in A.items():
         for j, b in fixed.items():
             c = c * b ** e[j - 1]
-        partial = {(0,) * q: c}
-        for t, i in enumerate(kept):
-            ei, ai = e[i - 1], a[i - 1]
-            if not ei:
-                continue
-            if ai:
-                base = {tuple(d * u for u in unit[t]):
-                        math.comb(ei, d) * ai ** (ei - d)
-                        for d in range(ei + 1)}
-            else:
-                base = {tuple(ei * u for u in unit[t]): 1}
-            partial = _fmul(partial, base)
-        for mono, v in partial.items():
-            _put(out, mono, v)
-    return out
+        _put(folded, tuple(e[i - 1] for i in kept), c)
+    return _fshift(folded, tuple(a[i - 1] for i in kept))
 
 
 def _feval(A, x):
