@@ -101,9 +101,14 @@ def _box(max_k: Sequence[int]):
 # cache persistence ---------------------------------------------------
 
 
-def _cache_load(path: Optional[str], session: ValueCache, mode: str) -> None:
+def _cache_load(
+    path: Optional[str], session: ValueCache, mode: str
+) -> Optional[int]:
+    """Load the exact values of a cache file into the session.  Returns
+    the number of values held after a clean load of an existing file,
+    None when there was no file to read or it was ignored."""
     if not path or mode != "exact" or not os.path.exists(path):
-        return
+        return None
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -129,10 +134,20 @@ def _cache_load(path: Optional[str], session: ValueCache, mode: str) -> None:
     ) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         session.values.clear()
+        return None
+    return len(session.values)
 
 
-def _cache_save(path: Optional[str], session: ValueCache, mode: str) -> None:
-    if not path or mode != "exact":
+def _cache_save(
+    path: Optional[str],
+    session: ValueCache,
+    mode: str,
+    loaded: Optional[int],
+) -> None:
+    """Write the session's exact values to the cache file, unless loaded
+    (what _cache_load returned) says the file loaded cleanly and the
+    session added no value to it."""
+    if not path or mode != "exact" or loaded == len(session.values):
         return
     payload = {}
     for key in sorted(session.values):
@@ -219,7 +234,7 @@ def _cmd_value(args) -> int:
     doc = _read_document(args.document)
     inst = doc.to_instance(args.mode)
     session = ValueCache()
-    _cache_load(args.cache, session, inst.mus.mode)
+    loaded = _cache_load(args.cache, session, inst.mus.mode)
     if args.k is not None:
         ks = [_parse_k(args.k, inst.nfactors)]
     elif doc.queries:
@@ -234,7 +249,7 @@ def _cmd_value(args) -> int:
     ]
     for line in _record_lines(records):
         print(line)
-    _cache_save(args.cache, session, inst.mus.mode)
+    _cache_save(args.cache, session, inst.mus.mode, loaded)
     _fail_on_disagreement(records)
     return 0
 
@@ -249,7 +264,7 @@ def _cmd_table(args) -> int:
     else:
         raise DocumentError("no --max given and the document has no range")
     session = ValueCache()
-    _cache_load(args.cache, session, inst.mus.mode)
+    loaded = _cache_load(args.cache, session, inst.mus.mode)
     shift = _parse_shift(args.shift, inst.nvars)
     records = [
         _compute_record(inst, k, args.method, shift, session,
@@ -274,7 +289,7 @@ def _cmd_table(args) -> int:
     print()
     for line in _record_lines(records):
         print(line)
-    _cache_save(args.cache, session, inst.mus.mode)
+    _cache_save(args.cache, session, inst.mus.mode, loaded)
     _fail_on_disagreement(records)
     return 0
 
@@ -310,7 +325,7 @@ def _cmd_verify(args) -> int:
     else:
         ks = list(_box((2,) * inst.nfactors))
     session = ValueCache()
-    _cache_load(args.cache, session, inst.mus.mode)
+    loaded = _cache_load(args.cache, session, inst.mus.mode)
     exact_mode = inst.mus.mode == "exact"
     rng = random.Random(args.seed)
 
@@ -369,7 +384,7 @@ def _cmd_verify(args) -> int:
             f"k={ktext} value={v_text} methods=agree "
             f"shifts={1 + len(shifts)} abel={abel_text}"
         )
-    _cache_save(args.cache, session, inst.mus.mode)
+    _cache_save(args.cache, session, inst.mus.mode, loaded)
     print(f"verify: PASS ({len(ks)} values, {1 + len(shifts)} shifts each)")
     return 0
 

@@ -189,6 +189,27 @@ class CyclotomicField:
             return self.zero
         return _reduced(self, tuple(acc), acc_den * den)
 
+    def _dot(self, xs: list, weights: list) -> tuple[list, int]:
+        """(num, den) of sum_j weights[j] * xs[j], for elements xs of this
+        field and int weights, not normalized.
+
+        Each weight absorbs the factor that brings its element to the
+        least common denominator, then every coordinate is one integer
+        dot product of the weights with that coordinate's column."""
+        if not xs:
+            return [0] * self.degree, 1
+        den = math.lcm(*{x.den for x in xs})
+        if den != 1:
+            weights = [
+                w if x.den == den else w * (den // x.den)
+                for w, x in zip(weights, xs)
+            ]
+        mul = operator.mul
+        return [
+            sum(map(mul, weights, column))
+            for column in zip(*[x.num for x in xs])
+        ], den
+
     @property
     def zero(self) -> "CyclotomicElement":
         return self.constant(0)

@@ -24,6 +24,13 @@ finite sum of points.  The prefactor of a stratum collects the full mu
 monomial of the substitution, mu_I^(a_I) * mu_{I^c}^(b); dropping the
 first factor breaks the partition identity whenever some kept coordinate
 has a_i > 0.
+
+In exact mode one step of the relation is one sum on integer numerators
+over a running denominator, normalized once: the u-sum is an integer dot
+product per coordinate, and mu^a, the prefactors and 1/(1 - mu^a) apply
+to numerators by field products.  Approx mode forms each product and sum
+of the step in turn, in a fixed order, so its doubles do not depend on
+how the exact path is arranged.
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._backend import kernels
 from ._rational import ONE, ZERO, Rational, format_rational
-from .cyclotomic import CyclotomicField
+from .cyclotomic import CyclotomicField, _reduced
 from .errors import (
     ApproxIllConditioned,
     DependencyConditionViolated,
@@ -69,6 +77,10 @@ __all__ = [
 # k <= 5, which must stay well inside the CLI's 1e-8 agreement check.
 _APPROX_SHIFT_TOL = 1e-6
 _INDEX_FORMS = ("residual", "consumed")
+# A session memoizes index tables of several factors up to this many
+# terms in all, then builds the rest anew each step: the tables of a box
+# of k in [0, K]^2 hold O(K^4) terms (52 MB more at K = 30 uncapped).
+_TABLE_MEMO_TERMS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -189,25 +201,44 @@ def choose_shift(
     return a
 
 
-def _ill_conditioned(i: int, fixed=(), a=None) -> ApproxIllConditioned:
+def _ill_conditioned(i: int, strata=(), a=None) -> ApproxIllConditioned:
     """The refusal for mu_i within _APPROX_SHIFT_TOL of 1, raised in the
-    series itself as its mu_1 (no fixed coordinates) or in the boundary
-    stratum of shift a where the coordinates fixed are frozen."""
+    series itself as its mu_1 (no strata) or in a boundary stratum.
+
+    strata lists the frozen coordinates of each level, outermost first:
+    a stratum of shift a, then a stratum of that stratum's default shift,
+    and so on.  The text merges the levels below the first into it while
+    the union is still a stratum of shift a, and names the rest apart."""
     text = f"mu_{i} lies within {_APPROX_SHIFT_TOL:g} of 1"
-    if not fixed:
-        text += ", so the default shift e_1 has mu^a as close to 1"
-    else:
-        frozen = ", ".join(f"m_{j} = {b}" for j, b in fixed)
-        free = [n for n in range(1, len(a) + 1) if n not in dict(fixed)]
-        text += f", so the boundary stratum {frozen} of shift {a}, a sum"
-        if free == [i]:
-            text += f" over m_{i} alone, has no shift with mu^a away from 1"
+    fixed = sorted(pair for level in strata for pair in level)
+    if not strata:
+        return ApproxIllConditioned(
+            text + ", so the default shift e_1 has mu^a as close to 1", (i,)
+        )
+    levels = [list(strata[0])]
+    for level in strata[1:]:
+        if len(levels) == 1 and all(b <= a[j - 1] for j, b in level):
+            levels[0] += level
         else:
-            text += (
-                f" over {' and '.join(f'm_{n}' for n in free)}, has mu^a as "
-                f"close to 1 on its default shift, along m_{i}"
-            )
-    return ApproxIllConditioned(text, (i,), fixed)
+            levels.append(list(level))
+    free = range(1, len(a) + 1)
+    for n, level in enumerate(levels):
+        free = [m for m in free if m not in dict(level)]
+        frozen = ", ".join(f"m_{j} = {b}" for j, b in sorted(level))
+        text += (
+            f", has on its default shift the boundary stratum {frozen}" if n
+            else f", so the boundary stratum {frozen} of shift {a}"
+        )
+        if free == [i]:
+            text += f", a sum over m_{i} alone"
+        else:
+            text += f", a sum over {' and '.join(f'm_{m}' for m in free)}"
+    if free == [i]:
+        tail = "no shift with mu^a away from 1"
+    else:
+        tail = f"mu^a as close to 1 on its default shift, along m_{i}"
+    text += f", {'which has' if len(levels) > 1 else 'has'} {tail}"
+    return ApproxIllConditioned(text, (i,), fixed, strata)
 
 
 @dataclass(frozen=True)
@@ -310,6 +341,7 @@ class _Context:
         "a",
         "mu_a",
         "inv1ma",
+        "field",
         "zero",
         "deltas",
         "V",
@@ -334,9 +366,12 @@ class _Context:
         self.a = a
         self.mu_a = mu_power(mus, a)
         if mus.mode == "exact":
-            field = CyclotomicField.get(mus.order)
-            self.inv1ma = field.inverse_one_minus_root(mus.power_exponent(a))
+            self.field = CyclotomicField.get(mus.order)
+            self.inv1ma = self.field.inverse_one_minus_root(
+                mus.power_exponent(a)
+            )
         else:
+            self.field = None
             self.inv1ma = 1.0 / (mus.one_scalar() - self.mu_a)
         self.zero = mus.zero_scalar()
         self.deltas = tuple(P.delta(a) for P in Ps)
@@ -377,10 +412,13 @@ class _Step:
     independent of k: N(X+a), its products with G(v), Delta_a N, its
     table on each restricted piece and its value at each point."""
 
-    __slots__ = ("shifted", "delta", "restricted", "at_points", "_prod")
+    __slots__ = (
+        "shifted", "unit", "delta", "restricted", "at_points", "_prod"
+    )
 
     def __init__(self, ctx: _Context, numerator: SparsePolynomial):
         self.shifted = numerator.shift(ctx.a)
+        self.unit = self.shifted == SparsePolynomial.one(ctx.N)
         # numerator.delta(a), without shifting a second time
         self.delta = self.shifted - numerator
         self.restricted = [
@@ -388,12 +426,16 @@ class _Step:
             for piece, _ in ctx.restricted
         ]
         self.at_points = [numerator.eval(point.b) for point in ctx.points]
-        self._prod: dict = {}
+        # with N(X+a) = 1 the products are the context's G(v) themselves
+        self._prod: dict = ctx._g if self.unit else {}
 
     def prod(self, ctx: _Context, v: tuple[int, ...]) -> SparsePolynomial:
-        """N(X+a) * G(v), for the context ctx that holds this step data."""
+        """N(X+a) * G(v), for the context ctx that holds this step data;
+        G(v) itself when N(X+a) is the constant 1."""
         hit = self._prod.get(v)
         if hit is None:
+            if self.unit:
+                return ctx.G(v)
             hit = ctx.mul(self.shifted, ctx.G(v)) if any(v) else self.shifted
             self._prod[v] = hit
         return hit
@@ -401,8 +443,10 @@ class _Step:
 
 class _Point:
     """A boundary lattice point b with mu^b and every P_t(b) evaluated
-    once; term(k, nb) is mu^b nb prod_t P_t(b)^(k_t), nb the numerator's
-    value at b."""
+    once; its summand at -k is mu^b nb prod_t P_t(b)^(k_t), nb the
+    numerator's value at b.  Approx mode takes it from term(k, nb),
+    exact mode from the integer ratio power(k) of the product; a point
+    serves one mode, so both memoize in _pows."""
 
     __slots__ = ("b", "mus", "mu_b", "pvals", "_pows")
 
@@ -427,26 +471,63 @@ class _Point:
             self._pows[k] = pw
         return self.mus.scale(self.mu_b, pw if nb == 1 else nb * pw)
 
+    def power(self, k: tuple[int, ...]) -> tuple[int, int]:
+        """(p, q) with p/q = prod_t P_t(b)^(k_t), q > 0, as integer
+        powers with no gcd; memoized per k."""
+        pq = self._pows.get(k)
+        if pq is None:
+            p = q = 1
+            for val, kt in zip(self.pvals, k):
+                if kt:
+                    p *= val.numerator**kt
+                    q *= val.denominator**kt
+            pq = self._pows[k] = (p, q)
+        return pq
+
 
 def _binomial_row(n: int) -> list[int]:
-    """[C(n, 0), ..., C(n, n)], each entry from the one before by
-    C(n, j) = C(n, j-1) (n-j+1) / j."""
-    row = [1]
+    """[C(n, 0), ..., C(n, n)]: the first half with each entry from the
+    one before by C(n, j) = C(n, j-1) (n-j+1) / j, the rest by symmetry."""
+    row = [1] * (n + 1)
     c = 1
-    for j in range(1, n + 1):
+    for j in range(1, n // 2 + 1):
         c = c * (n - j + 1) // j
-        row.append(c)
+        row[j] = row[n - j] = c
     return row
+
+
+# (0,), (1,), ...: the u and v of every one-factor index table, shared
+_UNIT_TUPLES = [(0,)]
+
+
+def _unit_tuples(n: int) -> list:
+    """A list that starts (0,), (1,), ..., (n,), grown on demand."""
+    units = _UNIT_TUPLES
+    units.extend((j,) for j in range(len(units), n + 1))
+    return units
+
+
+def _add_over(acc: list, acc_den: int, num, den: int, p: int = 1):
+    """(numerators, denominator) of acc/acc_den + p num/den, over a
+    common denominator and with no gcd of the numerators."""
+    if den == acc_den:
+        return [s + y * p for s, y in zip(acc, num)], acc_den
+    g = math.gcd(acc_den, den)
+    sa = den // g
+    p *= acc_den // g
+    return [s * sa + y * p for s, y in zip(acc, num)], acc_den * sa
 
 
 def _check_descent(N: int, groups: list, parent) -> None:
     """Assert (N, |u|, deg p) < parent for every group (p, u, w) with p
     nonzero; the degree is computed only when (N, |u|) ties with the
     parent, that is for the Delta_a N group."""
-    head = parent[:2]
+    n, size, degree = parent
+    if N < n:
+        return
     for p, u, w in groups:
-        if p.nums and (N, sum(u)) >= head:
-            assert (N, sum(u)) == head and p.total_degree() < parent[2], (
+        if (N > n or sum(u) >= size) and p.nums:
+            assert N == n and sum(u) == size and p.total_degree() < degree, (
                 "recursion metric failed to decrease"
             )
 
@@ -468,6 +549,8 @@ class ValueCache:
         self.index_form = index_form
         self.values: dict = {}
         self._contexts: dict = {}
+        self._tables: dict = {}
+        self._table_terms = 0
 
     @staticmethod
     def value_key(inst: ZetaInstance, k: tuple[int, ...]) -> str:
@@ -518,9 +601,12 @@ class ValueCache:
             return self.context(piece.sub.Ps, piece.sub.mus)
         except ApproxIllConditioned as exc:
             kept = piece.kept
-            fixed = piece.fixed + tuple((kept[j - 1], b) for j, b in exc.fixed)
+            inner = [
+                tuple((kept[j - 1], b) for j, b in level)
+                for level in exc.strata
+            ]
             raise _ill_conditioned(
-                kept[exc.twists[0] - 1], sorted(fixed), a
+                kept[exc.twists[0] - 1], [piece.fixed] + inner, a
             ) from None
 
     def _step_data(self, ctx: _Context, key, numerator=None) -> _Step:
@@ -543,7 +629,7 @@ class ValueCache:
     # recursion ------------------------------------------------------
 
     def _index_terms(self, k: tuple[int, ...]):
-        """An iterator of (u, v, weight) with u + v = k, u != k, and the
+        """An iterable of (u, v, weight) with u + v = k, u != k, and the
         multinomial weight prod_t C(k_t, u_t) = prod_t C(k_t, v_t).
 
         The residual convention enumerates u in lexicographic order, the
@@ -551,8 +637,21 @@ class ValueCache:
         sums them in this order.  v = k - u runs through the reversed
         ranges in step with u, and each weight is a product of entries of
         the rows C(k_t, 0..k_t), built once per step, so no term computes
-        a binomial.
+        a binomial.  With one factor the terms zip shared 1-tuples with
+        the row C(k, 0..k); it holds O(k^2) bits, so it is built anew
+        each step.  Tables of several factors are memoized per session,
+        up to _TABLE_MEMO_TERMS terms in all.
         """
+        if len(k) == 1:
+            n = k[0]
+            units = _unit_tuples(n)
+            row = _binomial_row(n)
+            if self.index_form == "residual":
+                return zip(units[:n], reversed(units[1 : n + 1]), row)
+            return zip(reversed(units[:n]), units[1 : n + 1], row[1:])
+        table = self._tables.get(k)
+        if table is not None:
+            return table
         ups = [range(x + 1) for x in k]
         downs = [range(x, -1, -1) for x in k]
         rows = [_binomial_row(x) for x in k]
@@ -562,12 +661,17 @@ class ValueCache:
             terms = zip(
                 itertools.product(*ups), itertools.product(*downs), weights
             )
-            return itertools.islice(terms, math.prod(map(len, ups)) - 1)
-        # v = 0 comes first
-        terms = zip(
-            itertools.product(*downs), itertools.product(*ups), weights
-        )
-        return itertools.islice(terms, 1, None)
+            table = list(itertools.islice(terms, math.prod(map(len, ups)) - 1))
+        else:
+            # v = 0 comes first
+            terms = zip(
+                itertools.product(*downs), itertools.product(*ups), weights
+            )
+            table = list(itertools.islice(terms, 1, None))
+        if self._table_terms + len(table) <= _TABLE_MEMO_TERMS:
+            self._tables[k] = table
+            self._table_terms += len(table)
+        return table
 
     def _step(self, ctx: _Context, data: _Step, k, inner: _Context, parent):
         """One application of the relation: Z(N; -k) from the step data
@@ -575,18 +679,42 @@ class ValueCache:
         itself, or the default context under an explicit top-level
         shift), each restricted piece in its sub-series' context.  A
         generator: it yields (ctx, alpha, k, parent) for every V entry it
-        misses and returns the value (see _run)."""
-        groups = [
-            (data.prod(ctx, v), u, w) for u, v, w in self._index_terms(k)
-        ]
+        misses and returns the value (see _run).
+
+        Exact mode sums on integer numerators over a running denominator:
+        mu^a and the prefactors are roots of unity over 1, so they apply
+        to numerators by one field product each, and the value is
+        normalized once, after the product by 1/(1 - mu^a).  Approx mode
+        forms each product and sum in turn, in the order written here."""
+        prod = data.prod
+        groups = [(prod(ctx, v), u, w) for u, v, w in self._index_terms(k)]
         groups.append((data.delta, k, None))
-        total = ctx.mu_a * (yield from self._combine(inner, groups, parent))
+        combined = yield from self._combine(inner, groups, parent)
+        field = ctx.field
+        if field is None:
+            total = ctx.mu_a * combined
+            for (piece, sub_ctx), poly in zip(ctx.restricted, data.restricted):
+                sval = yield from self._resolve(sub_ctx, poly, k, parent)
+                total = total + piece.prefactor * sval
+            for point, nb in zip(ctx.points, data.at_points):
+                total = total + point.term(k, nb)
+            return ctx.inv1ma * total
+        taps = field.taps
+        num, den = combined
+        acc = kernels.cyclo_mul(ctx.mu_a.num, num, taps)
         for (piece, sub_ctx), poly in zip(ctx.restricted, data.restricted):
             sval = yield from self._resolve(sub_ctx, poly, k, parent)
-            total = total + piece.prefactor * sval
+            num = kernels.cyclo_mul(piece.prefactor.num, sval.num, taps)
+            acc, den = _add_over(acc, den, num, sval.den)
         for point, nb in zip(ctx.points, data.at_points):
-            total = total + point.term(k, nb)
-        return ctx.inv1ma * total
+            if nb:
+                p, q = point.power(k)
+                acc, den = _add_over(
+                    acc, den, point.mu_b.num, q * nb.denominator,
+                    p * nb.numerator,
+                )
+        num = kernels.cyclo_mul(ctx.inv1ma.num, acc, taps)
+        return _reduced(field, num, den * ctx.inv1ma.den)
 
     def _run(self, gen) -> Scalar:
         """Drive the step generator gen to its value on one explicit
@@ -620,27 +748,35 @@ class ValueCache:
         Every group is checked once against the recursion metric: (N,
         |u|, deg polynomial) < parent, so a cached V entry cannot hide a
         step that fails to descend.  Exact mode then fuses every group
-        into one linear combination over the least common denominator,
-        reading the V table directly and stepping only on a miss; approx
-        mode keeps one combination per group, scaled by w and summed in
-        order."""
+        into one integer weight per V value over the least common
+        denominator of the polynomials, reading the V table directly and
+        stepping only on a miss, and returns the sum unnormalized, as
+        (numerators, denominator) from one integer dot product per
+        coordinate; approx mode keeps one combination per group, scaled
+        by w and summed in order."""
         if __debug__ and parent is not None:
             _check_descent(ctx.N, groups, parent)
-        if ctx.mus.mode == "exact":
+        if ctx.field is not None:
             # zero polynomials are stored over 1
             lcd = math.lcm(*{p.den for p, u, w in groups})
-            table = ctx.V
-            pairs = []
-            append = pairs.append
+            get = ctx.V.get
+            values = []
+            weights = []
+            add_value = values.append
+            add_weight = weights.append
             for p, u, w in groups:
-                if p.nums:
-                    m = lcd // p.den if w is None else w * (lcd // p.den)
-                    for alpha, c in p.nums.items():
-                        value = table.get((alpha, u))
-                        if value is None:
-                            value = yield ctx, alpha, u, parent
-                        append((value, c * m))
-            return ctx.mus.lincomb(pairs, lcd)
+                if w is None:
+                    w = lcd // p.den
+                elif lcd != 1:
+                    w *= lcd // p.den
+                for alpha, c in p.nums.items():
+                    value = get((alpha, u))
+                    if value is None:
+                        value = yield ctx, alpha, u, parent
+                    add_value(value)
+                    add_weight(c * w)
+            num, den = ctx.field._dot(values, weights)
+            return num, den * lcd
         acc = ctx.zero
         for p, u, w in groups:
             if p.nums:

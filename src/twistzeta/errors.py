@@ -52,12 +52,16 @@ class ApproxIllConditioned(TwistZetaError):
     twists holds the 1-based index of that twist, and fixed the frozen
     coordinates (j, b_j) of the boundary stratum whose default shift is
     refused, empty when that is the series queried itself; both count in
-    the variables of the queried series."""
+    the variables of the queried series.  strata splits fixed by level
+    when that stratum is a stratum of a stratum: the coordinates frozen
+    by the shift queried first, then those frozen by each default shift
+    below it."""
 
-    def __init__(self, message: str, twists=(), fixed=()):
+    def __init__(self, message: str, twists=(), fixed=(), strata=()):
         super().__init__(message)
         self.twists = tuple(twists)
         self.fixed = tuple(fixed)
+        self.strata = tuple(tuple(level) for level in strata)
 
 
 class EngineError(TwistZetaError):

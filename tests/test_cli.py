@@ -414,6 +414,27 @@ def test_cache_file_round_trip(tmp_path, capsys):
     assert second == first
 
 
+def test_cache_is_rewritten_only_when_a_value_was_added(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    rc, _, _ = run_cli(capsys, "table", HARMONIC, "--max", "4",
+                       "--cache", str(cache))
+    assert rc == 0
+    payload = json.loads(cache.read_text())
+    # formatted by hand: a rewrite would change the bytes
+    hand = json.dumps(payload, indent=3, sort_keys=False) + "\n\n"
+    cache.write_text(hand)
+    for command in (("value", HARMONIC, "2"), ("table", HARMONIC,
+                                               "--max", "3")):
+        rc, _, err = run_cli(capsys, *command, "--cache", str(cache))
+        assert rc == 0 and not err
+        assert cache.read_text() == hand
+    rc, _, _ = run_cli(capsys, "value", HARMONIC, "7", "--cache", str(cache))
+    assert rc == 0
+    rewritten = json.loads(cache.read_text())
+    assert cache.read_text() != hand
+    assert set(rewritten) > set(payload)
+
+
 def test_corrupt_cache_is_reset_with_a_warning(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     cache.write_text("{broken")

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,14 @@ def test_ill_conditioned_stratum_is_named_in_the_queried_variables():
         "mu_2 lies within 1e-06 of 1, so the boundary stratum m_1 = 1, "
         "m_3 = 1 of shift (1, 1, 1), a sum over m_2 alone, has no shift "
         "with mu^a away from 1"
+    )
+    # shift (0, 0, 1) has no stratum m_1 = 1: that one belongs to the
+    # default shift of its stratum m_3 = 1, and the text names both
+    assert texts[(0, 0, 1)] == (
+        "mu_2 lies within 1e-06 of 1, so the boundary stratum m_3 = 1 of "
+        "shift (0, 0, 1), a sum over m_1 and m_2, has on its default shift "
+        "the boundary stratum m_1 = 1, a sum over m_2 alone, which has no "
+        "shift with mu^a away from 1"
     )
 
 
@@ -733,9 +742,42 @@ def _reference_index_terms(index_form, k):
     (0, 0, 0), (2, 0, 1), (1, 3, 2), (5, 4, 6),
 ])
 def test_index_terms_match_binomial_reference(index_form, k):
-    got = list(ValueCache(index_form)._index_terms(k))
-    assert got == list(_reference_index_terms(index_form, k))
-    assert all(type(w) is int for _, _, w in got)
+    session = ValueCache(index_form)
+    want = list(_reference_index_terms(index_form, k))
+    # the second call reads the session's memo when k has several factors
+    for _ in range(2):
+        got = list(session._index_terms(k))
+        assert got == want
+        assert all(type(w) is int for _, _, w in got)
+    if len(k) == 1:
+        # one factor zips shared 1-tuples, by now held up to k: every
+        # smaller k slices them
+        for n in range(k[0]):
+            got = list(session._index_terms((n,)))
+            assert got == list(_reference_index_terms(index_form, (n,)))
+
+
+@pytest.mark.parametrize("factors, k, bound", [
+    # the rows C(k, 0..k) of a one-factor ladder hold O(k^2) bits in
+    # total; a session that kept them read 7.1 MB here, 0.3-0.5 MB without
+    (((3, 2),), (256,), 1 << 20),
+    # the tables of a two-factor box [0, K]^2 hold O(K^4) terms; keeping
+    # all of them read 5.1 MB here, the capped memo 1.2 MB
+    (((1, 1), (2, 1)), (16, 16), 2 << 20),
+])
+def test_index_tables_keep_a_small_peak(factors, k, bound):
+    X = SparsePolynomial.variable(1, 1)
+    one = SparsePolynomial.one(1)
+    inst = ZetaInstance(one, tuple(X * a + one * b for a, b in factors),
+                        TwistVector.exact(3, [1]))
+    want = special_value(inst, k)  # process-wide tables filled
+    tracemalloc.start()
+    try:
+        assert special_value(inst, k) == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_metric_check_fires_on_cached_entries(monkeypatch):
