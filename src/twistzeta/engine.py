@@ -10,20 +10,22 @@ gives the relation
                         + mu^a Z(Delta_a Q; -k)
                         + Z_boundary(-k),
 
-where the boundary part sums over the finitely many lattice points not
-above a.  Every term on the right is strictly smaller in the order
+where the boundary part sums over the lattice points m >= 1 not above
+a.  Every term on the right is strictly smaller in the order
 (variable count, |k|, deg Q), so special values fall out of exact linear
 algebra; the only analytic input is the geometric series hiding in the
 base case (1 - mu) Z(c; -0) = mu c.
 
-The boundary set {m >= 1 : not (m >= a+1)} splits by the subset I of
-coordinates with m_i >= a_i + 1: each stratum with I nonempty is again a
-twisted series in #I variables (after substituting X_i -> a_i + d and
-freezing the rest at values b_j in 1..a_j), and the I-empty stratum is a
-finite sum of points.  The prefactor of a stratum collects the full mu
-monomial of the substitution, mu_I^(a_I) * mu_{I^c}^(b); dropping the
-first factor breaks the partition identity whenever some kept coordinate
-has a_i > 0.
+The boundary set {m >= 1 : not (m >= a+1)} is the union of the faces
+m_j = c for j with a_j >= 1 and c in 1..a_j, summed by inclusion-exclusion:
+for every nonempty set J of such coordinates and values c_J, the face
+X_J = c_J counts with sign (-1)^(|J|+1) and prefactor mu_J^(c_J).  Its
+kept coordinates run over all of m >= 1, unshifted, so a face is again a
+twisted series in the kept variables that does not depend on a; J = all
+coordinates gives finitely many signed points.  Every shift of a series
+therefore meets the same face sub-series, and one session shares their
+contexts and value tables across shifts.  The default shift e_1 has the
+single face m_1 = 1.
 
 In exact mode one step of the relation is one sum on integer numerators
 over a running denominator, normalized once: the u-sum is an integer dot
@@ -174,7 +176,7 @@ def choose_shift(
     policy 'default' returns e_1, always usable in exact mode since
     mu_1 != 1; in approx mode it raises ApproxIllConditioned when mu_1
     lies within _APPROX_SHIFT_TOL of 1.  No other shift would do then:
-    each one sums over m_1 in the series or in a boundary stratum, whose
+    each one sums over m_1 in the series or in a boundary face, whose
     default shift is e_1 again.  'all-ones' and explicit vectors are
     validated against mu^a = 1.
     """
@@ -203,12 +205,14 @@ def choose_shift(
 
 def _ill_conditioned(i: int, strata=(), a=None) -> ApproxIllConditioned:
     """The refusal for mu_i within _APPROX_SHIFT_TOL of 1, raised in the
-    series itself as its mu_1 (no strata) or in a boundary stratum.
+    series itself as its mu_1 (no strata) or in a boundary face, which
+    the text calls a boundary stratum.
 
     strata lists the frozen coordinates of each level, outermost first:
-    a stratum of shift a, then a stratum of that stratum's default shift,
-    and so on.  The text merges the levels below the first into it while
-    the union is still a stratum of shift a, and names the rest apart."""
+    a face of shift a, then a face of that face's default shift, and so
+    on.  The text merges the levels below the first into it while the
+    union is still a face of shift a (every frozen m_j = c has
+    c <= a_j), and names the rest apart."""
     text = f"mu_{i} lies within {_APPROX_SHIFT_TOL:g} of 1"
     fixed = sorted(pair for level in strata for pair in level)
     if not strata:
@@ -243,12 +247,14 @@ def _ill_conditioned(i: int, strata=(), a=None) -> ApproxIllConditioned:
 
 @dataclass(frozen=True)
 class Restricted:
-    """A boundary stratum that is again a zeta instance in fewer
+    """A boundary face X_J = c_J that is again a zeta instance in fewer
     variables.
 
-    kept lists the surviving 1-based coordinate indices I; fixed maps
-    each complement index j to its frozen value b_j; prefactor is the
-    full twist monomial mu_I^(a_I) * mu_{I^c}^(b)."""
+    kept lists the surviving 1-based coordinate indices, which run over
+    m >= 1 unshifted; fixed maps each index j of J, the complement, to
+    its frozen value c_j in 1..a_j; prefactor is the signed twist
+    monomial (-1)^(|J|+1) mu_J^(c_J), with no factor from the kept
+    coordinates."""
 
     kept: tuple[int, ...]
     fixed: tuple[tuple[int, int], ...]
@@ -258,9 +264,12 @@ class Restricted:
 
 @dataclass(frozen=True)
 class PointTerm:
-    """A single lattice point b of the boundary; evaluates finitely."""
+    """A single lattice point b of the boundary, the face with every
+    coordinate frozen, counted sign = (-1)^(N+1) times; evaluates
+    finitely."""
 
     point: tuple[int, ...]
+    sign: int = 1
 
 
 BoundaryPiece = Union[Restricted, PointTerm]
@@ -269,13 +278,16 @@ BoundaryPiece = Union[Restricted, PointTerm]
 def boundary_decompose(
     inst: ZetaInstance, a: Union[ShiftVector, Sequence[int]]
 ) -> list[BoundaryPiece]:
-    """Stratify {m >= 1 : not (m >= a+1)} into restricted sub-instances
-    plus point terms.
+    """Split {m >= 1 : not (m >= a+1)} into signed faces: restricted
+    sub-instances plus point terms, by inclusion-exclusion.
 
-    Strata are indexed by the set I of coordinates running above a and,
-    for each, the frozen values b_j in {1..a_j} of the others; empty
-    ranges (a_j = 0) kill a stratum.  I runs over the proper subsets;
-    I empty yields the point terms.
+    A face is indexed by a nonempty set J of coordinates with a_j >= 1
+    and values c_j in {1..a_j}; it fixes X_J = c_J, leaves the kept
+    coordinates unshifted and counts with sign (-1)^(|J|+1).  Faces come
+    with the largest kept set first, kept sets in combinations order and
+    values in product order; J = all coordinates yields the point terms.
+    A face does not depend on a beyond its values c_J, so different
+    shifts share their common faces.
     """
     if not isinstance(a, ShiftVector):
         a = ShiftVector(tuple(a))
@@ -285,21 +297,27 @@ def boundary_decompose(
     av = a.a
     pieces: list[BoundaryPiece] = []
     indices = list(range(1, N + 1))
-    for q in range(N - 1, 0, -1):
+    for q in range(N - 1, -1, -1):
+        sign = (-1) ** (N - q + 1)
         for kept in itertools.combinations(indices, q):
             comp = [j for j in indices if j not in kept]
             if any(av[j - 1] < 1 for j in comp):
                 continue
             ranges = [range(1, av[j - 1] + 1) for j in comp]
-            for bs in itertools.product(*ranges):
-                fixed = dict(zip(comp, bs))
-                subQ = inst.Q.restrict(av, kept, fixed)
-                subPs = tuple(P.restrict(av, kept, fixed) for P in inst.Ps)
+            if not kept:
+                for b in itertools.product(*ranges):
+                    pieces.append(PointTerm(point=b, sign=sign))
+                continue
+            face_a = _unshifted(av, kept)
+            for cs in itertools.product(*ranges):
+                fixed = dict(zip(comp, cs))
+                subQ = inst.Q.restrict(face_a, kept, fixed)
+                subPs = tuple(
+                    P.restrict(face_a, kept, fixed) for P in inst.Ps
+                )
                 power = [0] * N
-                for i in kept:
-                    power[i - 1] = av[i - 1]
-                for j, b in fixed.items():
-                    power[j - 1] = b
+                for j, c in fixed.items():
+                    power[j - 1] = c
                 prefactor = mu_power(inst.mus, power)
                 for t, sP in enumerate(subPs, start=1):
                     if sP.is_zero:
@@ -312,13 +330,16 @@ def boundary_decompose(
                         kept=kept,
                         fixed=tuple(sorted(fixed.items())),
                         sub=sub,
-                        prefactor=prefactor,
+                        prefactor=prefactor if sign > 0 else -prefactor,
                     )
                 )
-    if all(x >= 1 for x in av):
-        for b in itertools.product(*[range(1, x + 1) for x in av]):
-            pieces.append(PointTerm(point=b))
     return pieces
+
+
+def _unshifted(a: tuple[int, ...], kept) -> tuple[int, ...]:
+    """a with every kept coordinate set to 0: the shift that restrict
+    applies to a face, whose kept coordinates stay unshifted."""
+    return tuple(0 if i in kept else x for i, x in enumerate(a, start=1))
 
 
 class _Context:
@@ -326,12 +347,13 @@ class _Context:
     depends neither on k nor on the numerator.
 
     That is mu^a, 1/(1 - mu^a), the differences Delta_a P_t, the
-    products G(v), and the boundary pieces: the restricted pieces, each
-    with the default context of its sub-series, and the points.  The
-    context also holds V[(alpha, k)], the values of monomial numerators,
-    and steps, the step data of every numerator it has met, keyed by
-    alpha for X^alpha and by the canonical text of an explicit top-level
-    Q.
+    products G(v), and the signed boundary faces: restricted holds each
+    face with the default context of its sub-series (shared with every
+    other shift that has the face) and the shift that restricts a
+    numerator to it, points the points.  The context also holds
+    V[(alpha, k)], the values of monomial numerators, and steps, the
+    step data of every numerator it has met, keyed by alpha for X^alpha
+    and by the canonical text of an explicit top-level Q.
     """
 
     __slots__ = (
@@ -410,7 +432,8 @@ class _Context:
 class _Step:
     """The part of one step that a numerator N adds to its context, all
     independent of k: N(X+a), its products with G(v), Delta_a N, its
-    table on each restricted piece and its value at each point."""
+    restriction to each face, with the kept coordinates unshifted, and
+    its value at each point."""
 
     __slots__ = (
         "shifted", "unit", "delta", "restricted", "at_points", "_prod"
@@ -422,8 +445,8 @@ class _Step:
         # numerator.delta(a), without shifting a second time
         self.delta = self.shifted - numerator
         self.restricted = [
-            numerator.restrict(ctx.a, piece.kept, dict(piece.fixed))
-            for piece, _ in ctx.restricted
+            numerator.restrict(shift, piece.kept, dict(piece.fixed))
+            for piece, _, shift in ctx.restricted
         ]
         self.at_points = [numerator.eval(point.b) for point in ctx.points]
         # with N(X+a) = 1 the products are the context's G(v) themselves
@@ -443,25 +466,27 @@ class _Step:
 
 class _Point:
     """A boundary lattice point b with mu^b and every P_t(b) evaluated
-    once; its summand at -k is mu^b nb prod_t P_t(b)^(k_t), nb the
+    once; its summand at -k is sign mu^b nb prod_t P_t(b)^(k_t), nb the
     numerator's value at b.  Approx mode takes it from term(k, nb),
-    exact mode from the integer ratio power(k) of the product; a point
-    serves one mode, so both memoize in _pows."""
+    exact mode from the signed integer ratio power(k); a point serves
+    one mode, so both memoize in _pows."""
 
-    __slots__ = ("b", "mus", "mu_b", "pvals", "_pows")
+    __slots__ = ("b", "sign", "mus", "mu_b", "pvals", "_pows")
 
-    def __init__(self, Ps, mus: TwistVector, b: tuple[int, ...]):
+    def __init__(self, Ps, mus: TwistVector, b: tuple[int, ...], sign=1):
         self.pvals = tuple(P.eval(b) for P in Ps)
         for t, val in enumerate(self.pvals, start=1):
             if not val:
                 raise EngineError(f"P_{t} vanishes at boundary point {b}")
         self.b = b
+        self.sign = sign
         self.mus = mus
         self.mu_b = mu_power(mus, b)
         self._pows: dict = {}
 
     def term(self, k: tuple[int, ...], nb) -> Scalar:
-        """The point's summand at -k for a numerator worth nb at b."""
+        """The point's signed summand at -k for a numerator worth nb at
+        b."""
         pw = self._pows.get(k)
         if pw is None:
             pw = ONE
@@ -469,14 +494,16 @@ class _Point:
                 if kt:
                     pw = pw * val**kt
             self._pows[k] = pw
-        return self.mus.scale(self.mu_b, pw if nb == 1 else nb * pw)
+        term = self.mus.scale(self.mu_b, pw if nb == 1 else nb * pw)
+        return term if self.sign > 0 else -term
 
     def power(self, k: tuple[int, ...]) -> tuple[int, int]:
-        """(p, q) with p/q = prod_t P_t(b)^(k_t), q > 0, as integer
-        powers with no gcd; memoized per k."""
+        """(p, q) with p/q = sign prod_t P_t(b)^(k_t), q > 0, as
+        integer powers with no gcd; memoized per k."""
         pq = self._pows.get(k)
         if pq is None:
-            p = q = 1
+            p = self.sign
+            q = 1
             for val, kt in zip(self.pvals, k):
                 if kt:
                     p *= val.numerator**kt
@@ -568,7 +595,9 @@ class ValueCache:
         self, Ps: tuple, mus: TwistVector, a: tuple[int, ...] | None = None
     ) -> _Context:
         """The context of (Ps, mus) for shift a, built whole on first use
-        with the default context of every restricted piece.  None is the
+        with the default context of every face.  A face's sub-series does
+        not depend on a, so its context, keyed by the face's own (Ps,
+        mus), serves every shift that has the face.  None is the
         default pick of choose_shift; its key is an alias of the context
         of that explicit shift, so a default lookup is one dict hit."""
         key = (mus.canonical_text(), a) + tuple(P.canonical_text() for P in Ps)
@@ -580,12 +609,16 @@ class ValueCache:
                 one = SparsePolynomial.one(len(mus))
                 pieces = boundary_decompose(ZetaInstance(one, Ps, mus), a)
                 points = [
-                    _Point(Ps, mus, piece.point)
+                    _Point(Ps, mus, piece.point, piece.sign)
                     for piece in pieces
                     if isinstance(piece, PointTerm)
                 ]
                 restricted = [
-                    (piece, self._sub_context(piece, a))
+                    (
+                        piece,
+                        self._sub_context(piece, a),
+                        _unshifted(a, piece.kept),
+                    )
                     for piece in pieces
                     if isinstance(piece, Restricted)
                 ]
@@ -594,9 +627,9 @@ class ValueCache:
         return ctx
 
     def _sub_context(self, piece: Restricted, a: tuple[int, ...]) -> _Context:
-        """The default context of a restricted piece of shift a.  An
-        approx refusal in it is raised again in the variables of the
-        series that has the piece, naming the stratum."""
+        """The default context of a face of shift a.  An approx refusal
+        in it is raised again in the variables of the series that has
+        the face, naming it."""
         try:
             return self.context(piece.sub.Ps, piece.sub.mus)
         except ApproxIllConditioned as exc:
@@ -677,23 +710,25 @@ class ValueCache:
         """One application of the relation: Z(N; -k) from the step data
         of N in ctx.  The u-sum and Delta_a N resolve in inner (ctx
         itself, or the default context under an explicit top-level
-        shift), each restricted piece in its sub-series' context.  A
+        shift), each face in its sub-series' context.  A
         generator: it yields (ctx, alpha, k, parent) for every V entry it
         misses and returns the value (see _run).
 
         Exact mode sums on integer numerators over a running denominator:
         mu^a and the prefactors are roots of unity over 1, so they apply
         to numerators by one field product each, and the value is
-        normalized once, after the product by 1/(1 - mu^a).  Approx mode
+        normalized once, after the product by 1/(1 - mu^a); the signs of
+        the faces ride on their prefactors and point terms.  Approx mode
         forms each product and sum in turn, in the order written here."""
         prod = data.prod
         groups = [(prod(ctx, v), u, w) for u, v, w in self._index_terms(k)]
         groups.append((data.delta, k, None))
         combined = yield from self._combine(inner, groups, parent)
+        faces = zip(ctx.restricted, data.restricted)
         field = ctx.field
         if field is None:
             total = ctx.mu_a * combined
-            for (piece, sub_ctx), poly in zip(ctx.restricted, data.restricted):
+            for (piece, sub_ctx, _), poly in faces:
                 sval = yield from self._resolve(sub_ctx, poly, k, parent)
                 total = total + piece.prefactor * sval
             for point, nb in zip(ctx.points, data.at_points):
@@ -702,7 +737,7 @@ class ValueCache:
         taps = field.taps
         num, den = combined
         acc = kernels.cyclo_mul(ctx.mu_a.num, num, taps)
-        for (piece, sub_ctx), poly in zip(ctx.restricted, data.restricted):
+        for (piece, sub_ctx, _), poly in faces:
             sval = yield from self._resolve(sub_ctx, poly, k, parent)
             num = kernels.cyclo_mul(piece.prefactor.num, sval.num, taps)
             acc, den = _add_over(acc, den, num, sval.den)
@@ -878,7 +913,7 @@ def linear_special_value(
     Here Delta_a L_t = L_t(a) is a constant, so resolving Q in the
     context of the shift a holds that shift at every level, and the
     u-sum collapses to scalar weights against the same numerator at
-    smaller k: the scalar recursion of the linear case.  Boundary strata
+    smaller k: the scalar recursion of the linear case.  Boundary faces
     go through the default engine.
     """
     k = _as_k(inst, k)

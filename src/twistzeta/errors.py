@@ -50,12 +50,12 @@ class ApproxIllConditioned(TwistZetaError):
     """A twist within tolerance of 1 leaves no well-conditioned shift.
 
     twists holds the 1-based index of that twist, and fixed the frozen
-    coordinates (j, b_j) of the boundary stratum whose default shift is
-    refused, empty when that is the series queried itself; both count in
-    the variables of the queried series.  strata splits fixed by level
-    when that stratum is a stratum of a stratum: the coordinates frozen
-    by the shift queried first, then those frozen by each default shift
-    below it."""
+    coordinates (j, c_j) of the boundary face (a stratum, in the
+    message) whose default shift is refused, empty when that is the
+    series queried itself; both count in the variables of the queried
+    series.  strata splits fixed by level when that face is a face of a
+    face: the coordinates frozen by the shift queried first, then those
+    frozen by each default shift below it."""
 
     def __init__(self, message: str, twists=(), fixed=(), strata=()):
         super().__init__(message)

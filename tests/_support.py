@@ -117,10 +117,12 @@ def box_sum(inst, k, M, pred=lambda m: True):
 
 
 def box_partition_holds(inst, k, a, M):
-    """Check the finite-box form of the boundary stratification:
+    """Check the finite-box form of the signed boundary decomposition:
 
-    sum over [1,M]^N splits into the part above a plus every stratum's
-    own restriction to the box, with the stratum prefactors.
+    the sum over [1,M]^N is the part above a plus, by inclusion-exclusion,
+    every face's own restriction to the box (kept coordinates unshifted,
+    in 1..M) times its signed prefactor, plus every point term times its
+    sign.
     """
     full = box_sum(inst, k, M)
     interior = box_sum(
@@ -129,15 +131,11 @@ def box_partition_holds(inst, k, a, M):
     total = interior
     for piece in boundary_decompose(inst, a):
         if isinstance(piece, PointTerm):
-            total = total + term_value(inst, k, piece.point)
+            total = total + piece.sign * term_value(inst, k, piece.point)
         else:
             assert isinstance(piece, Restricted)
             q = len(piece.kept)
             for d in itertools.product(range(1, M + 1), repeat=q):
-                if any(
-                    a[i - 1] + dd > M for i, dd in zip(piece.kept, d)
-                ):
-                    continue
                 total = total + piece.prefactor * term_value(
                     piece.sub, k, d
                 )

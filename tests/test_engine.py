@@ -1,7 +1,7 @@
 """The shift-and-difference engine.
 
 The independent oracle for values is the closed product formula; the
-structural checks (boundary stratification, shift policies, recursion
+structural checks (signed boundary faces, shift policies, recursion
 bookkeeping) are validated against finite lattice sums and hand-built
 cases.
 """
@@ -396,14 +396,19 @@ def test_boundary_piece_count_matches_stratification():
     pieces = boundary_decompose(inst, a)
     restricted = [p for p in pieces if isinstance(p, Restricted)]
     points = [p for p in pieces if isinstance(p, PointTerm)]
-    # one stratum per proper nonempty subset and frozen value: 2 * 2,
-    # plus the 2 * 2 points below a
+    # one face per one-coordinate set J and frozen value: 2 + 2, each of
+    # sign +1, plus the 2 * 2 points of J = {1, 2}, each of sign -1
     assert len(restricted) == 4
+    assert [p.fixed for p in restricted] == [
+        ((2, 1),), ((2, 2),), ((1, 1),), ((1, 2),)
+    ]
     assert len(points) == 4
+    assert all(p.sign == -1 for p in points)
 
 
 def test_restricted_prefactor_collects_kept_coordinates():
-    # with a = (2, 1) and I = {2}, the prefactor is mu_1^b * mu_2^a2
+    # with a = (2, 1) the prefactor of the face X_J = c is mu_J^c alone:
+    # the kept coordinates run unshifted and add no mu_I^(a_I) factor
     inst = _inst_2d()
     pieces = boundary_decompose(inst, (2, 1))
     field = CyclotomicField.get(4)
@@ -412,9 +417,13 @@ def test_restricted_prefactor_collects_kept_coordinates():
         for p in pieces
         if isinstance(p, Restricted)
     }
-    assert got[((2,), ((1, 1),))] == field.root(1 + 3)
-    assert got[((2,), ((1, 2),))] == field.root(2 + 3)
-    assert got[((1,), ((2, 1),))] == field.root(2 + 3)
+    assert got == {
+        ((2,), ((1, 1),)): field.root(1),
+        ((2,), ((1, 2),)): field.root(2),
+        ((1,), ((2, 1),)): field.root(3),
+    }
+    points = [p for p in pieces if isinstance(p, PointTerm)]
+    assert [(p.point, p.sign) for p in points] == [((1, 1), -1), ((2, 1), -1)]
 
 
 def test_zero_entries_suppress_point_terms():
@@ -423,6 +432,58 @@ def test_zero_entries_suppress_point_terms():
     assert all(isinstance(p, Restricted) for p in pieces)
     kept_sets = {p.kept for p in pieces}
     assert kept_sets == {(1,)}
+
+
+def test_faces_are_shared_across_shifts():
+    # a face's sub-series does not depend on the shift, so one session
+    # builds one sub-context per distinct face m_1 = 1..3, m_2 = 1..2 for
+    # the default shift and four explicit ones, and every shift gives the
+    # default value and the closed value
+    X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+    mus = TwistVector.exact(6, [1, 2])
+    inst = ZetaInstance(X1 * X2 + rat(1, 2), (X1 + X2 * 2 + 1,), mus)
+    session = ValueCache()
+    shifts = ((1, 0), (1, 1), (2, 1), (3, 2))
+    for k in range(4):
+        base = special_value(inst, (k,), cache=session)
+        assert base == closed_value(inst.Q, inst.Ps, (k,), mus)
+        for a in shifts:
+            got = special_value(inst, (k,), shift=a, cache=session)
+            assert got == base, (a, k)
+    faces = {}
+    for a in shifts:
+        ctx = session.context(inst.Ps, mus, a)
+        for piece, sub_ctx, _ in ctx.restricted:
+            assert faces.setdefault(piece.fixed, sub_ctx) is sub_ctx
+    assert sorted(faces) == [
+        ((1, 1),), ((1, 2),), ((1, 3),), ((2, 1),), ((2, 2),)
+    ]
+    one_variable = {
+        id(ctx) for ctx in session._contexts.values() if ctx.N == 1
+    }
+    assert one_variable == {id(ctx) for ctx in faces.values()}
+
+
+def test_signed_faces_of_three_variables_match_closed_form():
+    # under (2, 1, 3) and (1, 1, 1) a three-variable series has faces of
+    # two kept variables (sign +1), of one (sign -1) and points (sign +1)
+    for index_form in ("residual", "consumed"):
+        rng = random.Random(6606)
+        checked = 0
+        for inst in oracle_corpus(6605, 12, ns=(3,)):
+            session = ValueCache(index_form)
+            for a in ((2, 1, 3), (1, 1, 1)):
+                try:
+                    choose_shift(inst.mus, a)
+                except MuPowerIsOne:
+                    continue
+                k = tuple(rng.randint(0, 2) for _ in range(inst.nfactors))
+                got = special_value(inst, k, shift=a, cache=session)
+                assert got == closed_value(inst.Q, inst.Ps, k, inst.mus), (
+                    index_form, inst.canonical_text(), a, k
+                )
+                checked += 1
+        assert checked == 19
 
 
 def test_partition_identity_randomized():
