@@ -45,7 +45,6 @@ from .errors import (
     MuPowerIsOne,
     NotLinearForm,
     OrthogonalityViolated,
-    RestrictionRange,
     TwistIsOne,
     TwistZetaError,
     ZeroInverse,

@@ -301,7 +301,7 @@ def _random_shift(rng: random.Random, inst: ZetaInstance):
             continue
         try:
             choose_shift(inst.mus, a)
-        except (MuPowerIsOne, TwistZetaError):
+        except TwistZetaError:
             continue
         return a
     return None

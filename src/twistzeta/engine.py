@@ -308,13 +308,10 @@ def boundary_decompose(
                 for b in itertools.product(*ranges):
                     pieces.append(PointTerm(point=b, sign=sign))
                 continue
-            face_a = _unshifted(av, kept)
             for cs in itertools.product(*ranges):
                 fixed = dict(zip(comp, cs))
-                subQ = inst.Q.restrict(face_a, kept, fixed)
-                subPs = tuple(
-                    P.restrict(face_a, kept, fixed) for P in inst.Ps
-                )
+                subQ = inst.Q.restrict(fixed)
+                subPs = tuple(P.restrict(fixed) for P in inst.Ps)
                 power = [0] * N
                 for j, c in fixed.items():
                     power[j - 1] = c
@@ -336,24 +333,18 @@ def boundary_decompose(
     return pieces
 
 
-def _unshifted(a: tuple[int, ...], kept) -> tuple[int, ...]:
-    """a with every kept coordinate set to 0: the shift that restrict
-    applies to a face, whose kept coordinates stay unshifted."""
-    return tuple(0 if i in kept else x for i, x in enumerate(a, start=1))
-
-
 class _Context:
     """Everything in one step of the relation for (P_1..P_T, mu, a) that
     depends neither on k nor on the numerator.
 
     That is mu^a, 1/(1 - mu^a), the differences Delta_a P_t, the
-    products G(v), and the signed boundary faces: restricted holds each
+    products G(v), and the signed boundary faces: restricted pairs each
     face with the default context of its sub-series (shared with every
-    other shift that has the face) and the shift that restricts a
-    numerator to it, points the points.  The context also holds
-    V[(alpha, k)], the values of monomial numerators, and steps, the
-    step data of every numerator it has met, keyed by alpha for X^alpha
-    and by the canonical text of an explicit top-level Q.
+    other shift that has the face), points holds the points.  The
+    context also holds V[(alpha, k)], the values of monomial numerators,
+    and steps, the step data of every numerator it has met, keyed by
+    alpha for X^alpha and by the canonical text of an explicit top-level
+    Q.
     """
 
     __slots__ = (
@@ -432,8 +423,7 @@ class _Context:
 class _Step:
     """The part of one step that a numerator N adds to its context, all
     independent of k: N(X+a), its products with G(v), Delta_a N, its
-    restriction to each face, with the kept coordinates unshifted, and
-    its value at each point."""
+    restriction to each face X_J = c_J and its value at each point."""
 
     __slots__ = (
         "shifted", "unit", "delta", "restricted", "at_points", "_prod"
@@ -445,8 +435,8 @@ class _Step:
         # numerator.delta(a), without shifting a second time
         self.delta = self.shifted - numerator
         self.restricted = [
-            numerator.restrict(shift, piece.kept, dict(piece.fixed))
-            for piece, _, shift in ctx.restricted
+            numerator.restrict(dict(piece.fixed))
+            for piece, _ in ctx.restricted
         ]
         self.at_points = [numerator.eval(point.b) for point in ctx.points]
         # with N(X+a) = 1 the products are the context's G(v) themselves
@@ -467,11 +457,10 @@ class _Step:
 class _Point:
     """A boundary lattice point b with mu^b and every P_t(b) evaluated
     once; its summand at -k is sign mu^b nb prod_t P_t(b)^(k_t), nb the
-    numerator's value at b.  Approx mode takes it from term(k, nb),
-    exact mode from the signed integer ratio power(k); a point serves
-    one mode, so both memoize in _pows."""
+    numerator's value at b.  Both modes read the signed integer ratio
+    power(k), memoized per k, and scale mu^b by it times nb."""
 
-    __slots__ = ("b", "sign", "mus", "mu_b", "pvals", "_pows")
+    __slots__ = ("b", "sign", "mu_b", "pvals", "_pows")
 
     def __init__(self, Ps, mus: TwistVector, b: tuple[int, ...], sign=1):
         self.pvals = tuple(P.eval(b) for P in Ps)
@@ -480,22 +469,8 @@ class _Point:
                 raise EngineError(f"P_{t} vanishes at boundary point {b}")
         self.b = b
         self.sign = sign
-        self.mus = mus
         self.mu_b = mu_power(mus, b)
         self._pows: dict = {}
-
-    def term(self, k: tuple[int, ...], nb) -> Scalar:
-        """The point's signed summand at -k for a numerator worth nb at
-        b."""
-        pw = self._pows.get(k)
-        if pw is None:
-            pw = ONE
-            for val, kt in zip(self.pvals, k):
-                if kt:
-                    pw = pw * val**kt
-            self._pows[k] = pw
-        term = self.mus.scale(self.mu_b, pw if nb == 1 else nb * pw)
-        return term if self.sign > 0 else -term
 
     def power(self, k: tuple[int, ...]) -> tuple[int, int]:
         """(p, q) with p/q = sign prod_t P_t(b)^(k_t), q > 0, as
@@ -614,11 +589,7 @@ class ValueCache:
                     if isinstance(piece, PointTerm)
                 ]
                 restricted = [
-                    (
-                        piece,
-                        self._sub_context(piece, a),
-                        _unshifted(a, piece.kept),
-                    )
+                    (piece, self._sub_context(piece, a))
                     for piece in pieces
                     if isinstance(piece, Restricted)
                 ]
@@ -719,7 +690,9 @@ class ValueCache:
         to numerators by one field product each, and the value is
         normalized once, after the product by 1/(1 - mu^a); the signs of
         the faces ride on their prefactors and point terms.  Approx mode
-        forms each product and sum in turn, in the order written here."""
+        forms each product and sum in turn, in the order written here; a
+        point adds mu^b times p nb / q, one correctly rounded division of
+        integers, the double that float() gives that Fraction."""
         prod = data.prod
         groups = [(prod(ctx, v), u, w) for u, v, w in self._index_terms(k)]
         groups.append((data.delta, k, None))
@@ -728,16 +701,18 @@ class ValueCache:
         field = ctx.field
         if field is None:
             total = ctx.mu_a * combined
-            for (piece, sub_ctx, _), poly in faces:
+            for (piece, sub_ctx), poly in faces:
                 sval = yield from self._resolve(sub_ctx, poly, k, parent)
                 total = total + piece.prefactor * sval
             for point, nb in zip(ctx.points, data.at_points):
-                total = total + point.term(k, nb)
+                p, q = point.power(k)
+                ratio = (p * nb.numerator) / (q * nb.denominator)
+                total = total + point.mu_b * ratio
             return ctx.inv1ma * total
         taps = field.taps
         num, den = combined
         acc = kernels.cyclo_mul(ctx.mu_a.num, num, taps)
-        for (piece, sub_ctx, _), poly in faces:
+        for (piece, sub_ctx), poly in faces:
             sval = yield from self._resolve(sub_ctx, poly, k, parent)
             num = kernels.cyclo_mul(piece.prefactor.num, sval.num, taps)
             acc, den = _add_over(acc, den, num, sval.den)
@@ -873,14 +848,18 @@ def special_value(
     once per session.  The index form of the u-sum is the session's,
     set by ValueCache(index_form) (a fresh residual session when cache
     is None).  V-table misses are evaluated from one explicit stack, so
-    a deep k needs no Python stack in either index form.
+    a deep k needs no Python stack in either index form.  An explicit
+    shift is validated even for Q = 0, whose value is zero.
     """
     k = _as_k(inst, k)
     session = _session(cache)
     key = session.value_key(inst, k)
+    default = isinstance(shift, str) and shift == "default"
+    if not default:
+        shift = choose_shift(inst.mus, shift)
     if inst.Q.is_zero:
         return inst.mus.zero_scalar()
-    if isinstance(shift, str) and shift == "default":
+    if default:
         hit = session.values.get(key)
         if hit is not None:
             return hit
@@ -888,7 +867,7 @@ def special_value(
         session.values[key] = value
         return value
 
-    step = session.context(inst.Ps, inst.mus, choose_shift(inst.mus, shift).a)
+    step = session.context(inst.Ps, inst.mus, shift.a)
     data = session._step_data(step, inst.Q.canonical_text(), inst.Q)
     inner = session.context(inst.Ps, inst.mus)
     value = session._run(session._step(step, data, k, inner, None))

@@ -22,10 +22,6 @@ class DimensionMismatch(TwistZetaError):
     """Operands disagree on variable count or tuple length."""
 
 
-class RestrictionRange(TwistZetaError):
-    """A fixed boundary coordinate lies outside its {1..a_j} range."""
-
-
 class TwistIsOne(TwistZetaError):
     """A twist equals 1; every series handled here requires mu_n != 1."""
 

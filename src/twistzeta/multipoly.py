@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from ._backend import kernels
 from ._rational import Rational
-from .errors import DimensionMismatch, RestrictionRange
+from .errors import DimensionMismatch
 
 __all__ = [
     "NEG_INF",
@@ -248,56 +248,39 @@ class SparsePolynomial:
         """The finite difference p(X + a) - p(X)."""
         return self.shift(a) - self
 
-    def restrict(
-        self,
-        a: Iterable[int],
-        kept: Iterable[int],
-        fixed: Mapping[int, int],
-    ) -> "SparsePolynomial":
-        """Substitute X_i -> a_i + d for kept indices i and X_j -> b_j for
-        the fixed complement, producing a polynomial in the d variables.
+    def restrict(self, fixed: Mapping[int, int]) -> "SparsePolynomial":
+        """The face X_j = b_j for every index j of fixed: a polynomial in
+        the other variables, renumbered in increasing original order.
 
-        kept lists the surviving 1-based indices; fixed maps every other
-        index j to a value b_j in {1..a_j}.  The kept variables are
-        renumbered in increasing original order.  X_j = b_j is folded
-        into the coefficients first, and one shift_terms call then
-        substitutes a_i + d, so with every kept a_i = 0 the terms keep
-        the order in which the folding met them.
+        Each term folds its powers of the fixed values into its
+        coefficient, and the terms keep the order in which the folding
+        meets them.
+
+        >>> X1 = SparsePolynomial.variable(2, 1)
+        >>> X2 = SparsePolynomial.variable(2, 2)
+        >>> (X1 * X2 + X2 ** 2).restrict({2: 2})
+        SparsePolynomial(1, '2*X1^1 + 4*X1^0')
         """
-        a = tuple(int(x) for x in a)
-        if len(a) != self.nvars:
-            raise DimensionMismatch("shift vector length")
-        kept = sorted(int(i) for i in kept)
+        if any(not 1 <= j <= self.nvars for j in fixed):
+            raise DimensionMismatch("fixed index out of range")
+        if not all(isinstance(b, int) for b in fixed.values()):
+            raise TypeError("face values must be ints")
+        kept = [i for i in range(self.nvars) if i + 1 not in fixed]
         if not kept:
-            raise DimensionMismatch("kept index set must be nonempty")
-        if any(not 1 <= i <= self.nvars for i in kept):
-            raise DimensionMismatch("kept index out of range")
-        comp = [j for j in range(1, self.nvars + 1) if j not in set(kept)]
-        if sorted(fixed) != comp:
-            raise DimensionMismatch(
-                "fixed assignment must cover exactly the complement"
-            )
-        for j, b in fixed.items():
-            if not 1 <= b <= a[j - 1]:
-                raise RestrictionRange(
-                    f"b_{j} = {b} outside 1..{a[j - 1]}"
-                )
+            raise DimensionMismatch("a face must keep a variable")
         frozen: dict = {}
         for exps, coef in self.nums.items():
-            for j in comp:
+            for j, b in fixed.items():
                 e = exps[j - 1]
                 if e:
-                    coef = coef * (fixed[j] ** e)
-            mono = tuple(exps[i - 1] for i in kept)
+                    coef = coef * b**e
+            mono = tuple(exps[i] for i in kept)
             s = frozen.get(mono, 0) + coef
             if s:
                 frozen[mono] = s
             else:
-                del frozen[mono]
-        a_kept = tuple(a[i - 1] for i in kept)
-        return SparsePolynomial._reduced(
-            len(kept), kernels.shift_terms(frozen, a_kept), self.den
-        )
+                frozen.pop(mono, None)
+        return SparsePolynomial._reduced(len(kept), frozen, self.den)
 
     def eval(self, point: Iterable) -> "Rational":
         """Exact evaluation at a point of rationals or ints.

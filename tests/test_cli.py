@@ -275,6 +275,27 @@ def test_all_ones_shift_can_be_invalid(capsys):
     assert rc == 2
 
 
+def test_zero_numerator_still_validates_an_explicit_shift(tmp_path, capsys):
+    # mu^(2, 1) = zeta_4^4 = 1: refused even though Q = 0 gives zero
+    doc = {
+        "nvars": 2,
+        "nfactors": 1,
+        "twist": {"mode": "exact", "order": 4, "exponents": [1, 2]},
+        "Q": [],
+        "Ps": [[
+            {"coef": "1", "exps": [1, 0]},
+            {"coef": "1", "exps": [0, 1]},
+            {"coef": "1", "exps": [0, 0]},
+        ]],
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run_cli(capsys, "value", str(path), "1")
+    assert rc == 0 and "exact=[0,0]" in out
+    rc, _, err = run_cli(capsys, "value", str(path), "1", "--shift", "2,1")
+    assert rc == 2 and "mu^(2, 1) equals 1" in err
+
+
 APPROX_SHIFT_GOLDEN = json.loads(
     (ROOT / "tests" / "data" / "approx_shift_golden.json").read_text(
         encoding="utf-8"

@@ -86,6 +86,20 @@ def test_zero_numerator_is_zero():
     assert special_value(inst, (5,)) == mus.zero_scalar()
 
 
+def test_zero_numerator_still_validates_an_explicit_shift():
+    # Q = 0 has the value zero, but an explicit shift is checked first
+    X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+    mus = TwistVector.exact(4, [1, 2])
+    inst = ZetaInstance(SparsePolynomial.zero(2), (X1 + X2 + 1,), mus)
+    zero = mus.zero_scalar()
+    assert special_value(inst, (1,)) == zero
+    assert special_value(inst, (1,), shift=(1, 1)) == zero
+    with pytest.raises(MuPowerIsOne):
+        special_value(inst, (1,), shift=(2, 1))
+    with pytest.raises(DimensionMismatch):
+        special_value(inst, (1,), shift=(1, 2, 3))
+
+
 def test_oracle_agreement_on_random_instances():
     for inst in oracle_corpus(1105, 25):
         session = ValueCache()
@@ -353,6 +367,7 @@ def test_choose_shift_validates_explicit_vectors():
         choose_shift(mus, "sideways")
 
 
+
 def test_shift_vector_validation():
     with pytest.raises(ValueError):
         ShiftVector((0, 0))
@@ -453,7 +468,7 @@ def test_faces_are_shared_across_shifts():
     faces = {}
     for a in shifts:
         ctx = session.context(inst.Ps, mus, a)
-        for piece, sub_ctx, _ in ctx.restricted:
+        for piece, sub_ctx in ctx.restricted:
             assert faces.setdefault(piece.fixed, sub_ctx) is sub_ctx
     assert sorted(faces) == [
         ((1, 1),), ((1, 2),), ((1, 3),), ((2, 1),), ((2, 2),)
