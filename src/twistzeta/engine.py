@@ -74,7 +74,8 @@ __all__ = [
     "special_value",
 ]
 
-# In approx mode a shift with |1 - mu^a| below this is refused: shifted
+# In approx mode a shift with |1 - mu^a| below this is degenerate, and a
+# series with a twist this close to 1 is refused (choose_shift): shifted
 # values were measured to carry an error of about 3e-15 / |1 - mu^a| at
 # k <= 5, which must stay well inside the CLI's 1e-8 agreement check.
 _APPROX_SHIFT_TOL = 1e-6
@@ -174,75 +175,42 @@ def choose_shift(
     """Pick or validate a shift vector for the given twists.
 
     policy 'default' returns e_1, always usable in exact mode since
-    mu_1 != 1; in approx mode it raises ApproxIllConditioned when mu_1
-    lies within _APPROX_SHIFT_TOL of 1.  No other shift would do then:
-    each one sums over m_1 in the series or in a boundary face, whose
-    default shift is e_1 again.  'all-ones' and explicit vectors are
-    validated against mu^a = 1.
+    mu_1 != 1.  'all-ones' and explicit vectors are validated against
+    mu^a = 1 (MuPowerIsOne).  In approx mode any policy then raises
+    ApproxIllConditioned, naming the first mu_i that lies within
+    _APPROX_SHIFT_TOL of 1.  The default recursion meets every mu_i as
+    the mu^a of a default shift: the face m_1 = 1 of e_1 is a series in
+    the other variables, whose default shift is e_1 again.  So a series
+    is refused once, here, whatever the shift; a face's twists are a
+    subset of the series', so no context below one that passed refuses.
     """
     N = len(mus)
-    if isinstance(policy, str):
-        if policy == "default":
-            if mus.mode == "approx" and _scalar_is_one(mus, mus.mu(1)):
-                raise _ill_conditioned(1)
-            return ShiftVector((1,) + (0,) * (N - 1))
+    if isinstance(policy, str) and policy == "default":
+        a = ShiftVector((1,) + (0,) * (N - 1))
+    else:
         if policy == "all-ones":
             a = ShiftVector((1,) * N)
-        else:
+        elif isinstance(policy, str):
             raise ValueError(f"unknown shift policy {policy!r}")
-    elif isinstance(policy, ShiftVector):
-        a = policy
-    else:
-        a = ShiftVector(tuple(policy))
-    if len(a) != N:
-        raise DimensionMismatch(
-            f"shift of length {len(a)} against {N} twists"
-        )
-    if _scalar_is_one(mus, mu_power(mus, a.a)):
-        raise MuPowerIsOne(f"mu^{a.a} equals 1; pick another shift")
+        elif isinstance(policy, ShiftVector):
+            a = policy
+        else:
+            a = ShiftVector(tuple(policy))
+        if len(a) != N:
+            raise DimensionMismatch(
+                f"shift of length {len(a)} against {N} twists"
+            )
+        if _scalar_is_one(mus, mu_power(mus, a.a)):
+            raise MuPowerIsOne(f"mu^{a.a} equals 1; pick another shift")
+    if mus.mode == "approx":
+        for i in range(1, N + 1):
+            if _scalar_is_one(mus, mus.mu(i)):
+                raise ApproxIllConditioned(
+                    f"mu_{i} lies within {_APPROX_SHIFT_TOL:g} of 1, so "
+                    "the series has no well-conditioned shift in approx mode",
+                    (i,),
+                )
     return a
-
-
-def _ill_conditioned(i: int, strata=(), a=None) -> ApproxIllConditioned:
-    """The refusal for mu_i within _APPROX_SHIFT_TOL of 1, raised in the
-    series itself as its mu_1 (no strata) or in a boundary face, which
-    the text calls a boundary stratum.
-
-    strata lists the frozen coordinates of each level, outermost first:
-    a face of shift a, then a face of that face's default shift, and so
-    on.  The text merges the levels below the first into it while the
-    union is still a face of shift a (every frozen m_j = c has
-    c <= a_j), and names the rest apart."""
-    text = f"mu_{i} lies within {_APPROX_SHIFT_TOL:g} of 1"
-    fixed = sorted(pair for level in strata for pair in level)
-    if not strata:
-        return ApproxIllConditioned(
-            text + ", so the default shift e_1 has mu^a as close to 1", (i,)
-        )
-    levels = [list(strata[0])]
-    for level in strata[1:]:
-        if len(levels) == 1 and all(b <= a[j - 1] for j, b in level):
-            levels[0] += level
-        else:
-            levels.append(list(level))
-    free = range(1, len(a) + 1)
-    for n, level in enumerate(levels):
-        free = [m for m in free if m not in dict(level)]
-        frozen = ", ".join(f"m_{j} = {b}" for j, b in sorted(level))
-        text += (
-            f", has on its default shift the boundary stratum {frozen}" if n
-            else f", so the boundary stratum {frozen} of shift {a}"
-        )
-        if free == [i]:
-            text += f", a sum over m_{i} alone"
-        else:
-            text += f", a sum over {' and '.join(f'm_{m}' for m in free)}"
-    if free == [i]:
-        tail = "no shift with mu^a away from 1"
-    else:
-        tail = f"mu^a as close to 1 on its default shift, along m_{i}"
-    text += f", {'which has' if len(levels) > 1 else 'has'} {tail}"
-    return ApproxIllConditioned(text, (i,), fixed, strata)
 
 
 @dataclass(frozen=True)
@@ -574,7 +542,11 @@ class ValueCache:
         not depend on a, so its context, keyed by the face's own (Ps,
         mus), serves every shift that has the face.  None is the
         default pick of choose_shift; its key is an alias of the context
-        of that explicit shift, so a default lookup is one dict hit."""
+        of that explicit shift, so a default lookup is one dict hit.  An
+        explicit a must have passed choose_shift for these twists: in
+        approx mode that refuses a near-1 twist before anything is
+        built, and the face contexts, whose twists are a subset, pass
+        it again."""
         key = (mus.canonical_text(), a) + tuple(P.canonical_text() for P in Ps)
         ctx = self._contexts.get(key)
         if ctx is None:
@@ -589,29 +561,13 @@ class ValueCache:
                     if isinstance(piece, PointTerm)
                 ]
                 restricted = [
-                    (piece, self._sub_context(piece, a))
+                    (piece, self.context(piece.sub.Ps, piece.sub.mus))
                     for piece in pieces
                     if isinstance(piece, Restricted)
                 ]
                 ctx = _Context(Ps, mus, a, restricted, points)
             self._contexts[key] = ctx
         return ctx
-
-    def _sub_context(self, piece: Restricted, a: tuple[int, ...]) -> _Context:
-        """The default context of a face of shift a.  An approx refusal
-        in it is raised again in the variables of the series that has
-        the face, naming it."""
-        try:
-            return self.context(piece.sub.Ps, piece.sub.mus)
-        except ApproxIllConditioned as exc:
-            kept = piece.kept
-            inner = [
-                tuple((kept[j - 1], b) for j, b in level)
-                for level in exc.strata
-            ]
-            raise _ill_conditioned(
-                kept[exc.twists[0] - 1], [piece.fixed] + inner, a
-            ) from None
 
     def _step_data(self, ctx: _Context, key, numerator=None) -> _Step:
         """The step data in ctx of X^key for an exponent tuple key, or of

@@ -43,21 +43,13 @@ class OrthogonalityViolated(TwistZetaError):
 
 
 class ApproxIllConditioned(TwistZetaError):
-    """A twist within tolerance of 1 leaves no well-conditioned shift.
+    """In approx mode a twist lies within tolerance of 1, so the series
+    has no well-conditioned shift; twists holds the 1-based index of the
+    first such twist."""
 
-    twists holds the 1-based index of that twist, and fixed the frozen
-    coordinates (j, c_j) of the boundary face (a stratum, in the
-    message) whose default shift is refused, empty when that is the
-    series queried itself; both count in the variables of the queried
-    series.  strata splits fixed by level when that face is a face of a
-    face: the coordinates frozen by the shift queried first, then those
-    frozen by each default shift below it."""
-
-    def __init__(self, message: str, twists=(), fixed=(), strata=()):
+    def __init__(self, message: str, twists=()):
         super().__init__(message)
         self.twists = tuple(twists)
-        self.fixed = tuple(fixed)
-        self.strata = tuple(tuple(level) for level in strata)
 
 
 class EngineError(TwistZetaError):

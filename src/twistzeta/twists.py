@@ -72,10 +72,8 @@ class Twist:
             return CyclotomicField.get(self.order).root(self.exponent)
         return cmath.exp(1j * self.angle)
 
-    def key(self) -> tuple:
-        if self.mode == "exact":
-            return ("exact", self.order, self.exponent % self.order)
-        return ("approx", self.angle)
+
+_shared_twist = functools.lru_cache(maxsize=None)(Twist)
 
 
 @dataclass(frozen=True)
@@ -130,14 +128,14 @@ class TwistVector:
         return len(self.exponents if self.mode == "exact" else self.angles)
 
     def single(self, n: int) -> Twist:
-        """The n-th twist (1-based) as a standalone spec."""
+        """The n-th twist (1-based) as a standalone spec, one shared
+        instance per spec: the negapolylog memo then matches it by
+        identity, without a call of the dataclass __eq__."""
         if not 1 <= n <= len(self):
             raise DimensionMismatch(f"twist index {n} of {len(self)}")
         if self.mode == "exact":
-            return Twist(
-                mode="exact", order=self.order, exponent=self.exponents[n - 1]
-            )
-        return Twist(mode="approx", angle=self.angles[n - 1])
+            return _shared_twist("exact", self.order, self.exponents[n - 1])
+        return _shared_twist("approx", None, None, self.angles[n - 1])
 
     def sub(self, indices: Sequence[int]) -> "TwistVector":
         """The sub-vector over the given 1-based indices, in order."""
@@ -295,33 +293,7 @@ def _horner(coeffs: Sequence[int], z: Scalar, one: Scalar) -> Scalar:
     return acc
 
 
-def _value_cached(fn):
-    """Memoize a (n, twist) -> Scalar function on the twist key.
-
-    Exposed cache controls (cache_clear, cache_info) make the
-    transparency property testable.
-    """
-
-    @functools.lru_cache(maxsize=None)
-    def inner(n: int, key: tuple):
-        return fn(n, _twist_from_key(key))
-
-    @functools.wraps(fn)
-    def wrapper(n: int, mu: Twist):
-        return inner(int(n), mu.key())
-
-    wrapper.cache_clear = inner.cache_clear
-    wrapper.cache_info = inner.cache_info
-    return wrapper
-
-
-def _twist_from_key(key: tuple) -> Twist:
-    if key[0] == "exact":
-        return Twist(mode="exact", order=key[1], exponent=key[2])
-    return Twist(mode="approx", angle=key[1])
-
-
-@_value_cached
+@functools.lru_cache(maxsize=None)
 def negapolylog(n: int, mu: Twist) -> Scalar:
     """zeta_mu(-n) = sum_{m>=1} mu^m m^n in the Abel sense.
 
@@ -357,7 +329,7 @@ def _euclid_inverse_one_minus(order: int, e: int) -> CyclotomicElement:
     return (field.one - field.root(e)).inverse()
 
 
-@_value_cached
+@functools.lru_cache(maxsize=None)
 def eulerian_negapolylog(n: int, mu: Twist) -> Scalar:
     """Independent oracle for negapolylog, n >= 1:
 

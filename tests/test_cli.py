@@ -198,33 +198,30 @@ def test_ill_conditioned_approx_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("near", [1, 2])
-def test_ill_conditioned_refusal_names_twist_and_stratum(
-        tmp_path, capsys, near):
-    # one twist within the tolerance of 1: the shift along the other one
-    # is well conditioned, but its boundary stratum sums over the near-1
-    # twist alone
-    far = 3 - near
+def test_ill_conditioned_refusal_names_the_twist(tmp_path, capsys, near):
+    # one twist within the tolerance of 1 refuses the series up front,
+    # under the default shift and under the well-conditioned shift along
+    # the other twist alike, with one text naming the near-1 twist;
+    # verify prints its condition report and nothing after it
     angles = [2.0, 2.0]
     angles[near - 1] = 1e-9
     doc = json.loads(Path(LINEAR).read_text())
     doc["twist"] = {"mode": "approx", "angles": angles}
-    path = tmp_path / "near_one.json"
-    path.write_text(json.dumps(doc))
-    shift = ",".join(str(int(i == far)) for i in (1, 2))
-    a = tuple(int(i == far) for i in (1, 2))
-    stratum = (
-        f"engine error: mu_{near} lies within 1e-06 of 1, so the "
-        f"boundary stratum m_{far} = 1 of shift {a}, a sum over "
-        f"m_{near} alone, has no shift with mu^a away from 1\n"
+    path = str(tmp_path / "near_one.json")
+    Path(path).write_text(json.dumps(doc))
+    want = (
+        f"engine error: mu_{near} lies within 1e-06 of 1, so the series "
+        f"has no well-conditioned shift in approx mode\n"
     )
-    # the default shift is e_1, refused outright when mu_1 is the near one
-    default = stratum if near == 2 else (
-        "engine error: mu_1 lies within 1e-06 of 1, so the default shift "
-        "e_1 has mu^a as close to 1\n"
+    far = ",".join(str(int(i != near)) for i in (1, 2))
+    for argv in (("value", path, "1"), ("value", path, "1", "--shift", far),
+                 ("table", path), ("table", path, "--shift", far)):
+        assert run_cli(capsys, *argv) == (4, "", want), argv
+    rc, report, err = run_cli(capsys, "check", path)
+    assert rc == 0 and report and not err
+    assert run_cli(capsys, "verify", path, "--mode", "approx") == (
+        4, report, want
     )
-    for extra, want in ((("--shift", shift), stratum), ((), default)):
-        rc, out, err = run_cli(capsys, "value", str(path), "1", *extra)
-        assert (rc, out, err) == (4, "", want)
 
 
 def test_shift_near_the_tolerance_is_skipped_not_fatal(tmp_path, capsys):

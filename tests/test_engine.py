@@ -98,6 +98,15 @@ def test_zero_numerator_still_validates_an_explicit_shift():
         special_value(inst, (1,), shift=(2, 1))
     with pytest.raises(DimensionMismatch):
         special_value(inst, (1,), shift=(1, 2, 3))
+    # the shift (1, 0) has mu^a away from 1, but mu_2 lies within the
+    # approx tolerance of 1, which refuses the series under any explicit
+    # shift; the default shift resolves nothing for Q = 0
+    mus = TwistVector.approx([2.0, 1e-9])
+    inst = ZetaInstance(SparsePolynomial.zero(2), (X1 + X2 + 1,), mus)
+    assert special_value(inst, (1,)) == mus.zero_scalar()
+    with pytest.raises(ApproxIllConditioned) as info:
+        special_value(inst, (1,), shift=(1, 0))
+    assert info.value.twists == (2,)
 
 
 def test_oracle_agreement_on_random_instances():
@@ -255,22 +264,29 @@ def test_choose_shift_default_is_first_unit_vector():
     assert choose_shift(mus).a == (1, 0, 0)
 
 
+_REFUSAL = (
+    "mu_{} lies within 1e-06 of 1, so the series has no well-conditioned "
+    "shift in approx mode"
+)
+
+
 def test_choose_shift_default_refuses_a_near_one_mu_1():
-    # e_1 is the only default pick: with mu_1 within the approx tolerance
-    # of 1, on either side, it is refused at once and names mu_1, while a
-    # near-1 twist elsewhere leaves the pick to the boundary strata
-    for angles in ([1e-9, 2.0], [math.tau - 1e-9, 2.0],
-                   [1e-9, math.tau - 1e-9]):
+    # with a twist within the approx tolerance of 1, on either side and
+    # in any position, the default pick is refused at once and names the
+    # first such twist; an explicit shift with mu^a that close to 1 is
+    # degenerate before that, and one with mu^a away from 1 is refused
+    for angles, i in (([1e-9, 2.0], 1), ([math.tau - 1e-9, 2.0], 1),
+                      ([1e-9, math.tau - 1e-9], 1), ([2.0, 1e-9], 2)):
         with pytest.raises(ApproxIllConditioned) as info:
             choose_shift(TwistVector.approx(angles))
-        assert (info.value.twists, info.value.fixed) == ((1,), ())
-        assert str(info.value) == (
-            "mu_1 lies within 1e-06 of 1, so the default shift e_1 has "
-            "mu^a as close to 1"
-        )
+        assert info.value.twists == (i,)
+        assert str(info.value) == _REFUSAL.format(i)
     with pytest.raises(MuPowerIsOne):
         choose_shift(TwistVector.approx([1e-9, 2.0]), (1, 0))
-    assert choose_shift(TwistVector.approx([2.0, 1e-9])).a == (1, 0)
+    with pytest.raises(ApproxIllConditioned) as info:
+        choose_shift(TwistVector.approx([2.0, 1e-9]), (1, 0))
+    assert str(info.value) == _REFUSAL.format(2)
+    assert choose_shift(TwistVector.approx([2.0, 3.0])).a == (1, 0)
 
 
 def _near_one_sweep():
@@ -286,58 +302,58 @@ def _near_one_sweep():
                 angles = [2.0 + n for n in range(N)]
                 angles[pos] = near
                 for shift in shifts:
-                    yield N, tuple(angles), shift
+                    yield N, pos, tuple(angles), shift
 
 
 def test_no_shift_yields_a_value_with_a_near_one_twist():
     # no shift evaluates a series with a twist within the approx
-    # tolerance of 1: each one is refused up front (mu^a near 1) or meets
-    # the near-1 twist in the series or in a boundary stratum
+    # tolerance of 1, neither in the engine nor held by a fast path: a
+    # shift with mu^a near 1 is degenerate, and any other is refused up
+    # front, naming the near-1 twist
     cases = list(_near_one_sweep())
     assert len(cases) == 216
-    for N, angles, shift in cases:
+    for N, pos, angles, shift in cases:
         X = [SparsePolynomial.variable(N, i) for i in range(1, N + 1)]
+        mus = TwistVector.approx(angles)
         inst = ZetaInstance(SparsePolynomial.one(N), (sum(X[1:], X[0]),),
-                            TwistVector.approx(angles))
-        with pytest.raises((ApproxIllConditioned, MuPowerIsOne)):
-            special_value(inst, (1,), shift=shift)
+                            mus)
+        quadratic = [StructuredQuadratic((), (1,) * N)]
+        for evaluate in (
+            lambda: special_value(inst, (1,), shift=shift),
+            lambda: linear_special_value(inst, (1,), shift),
+            lambda: quadratic_special_value(quadratic, mus, (1,), shift),
+        ):
+            with pytest.raises((ApproxIllConditioned, MuPowerIsOne)) as info:
+                evaluate()
+            if isinstance(info.value, ApproxIllConditioned):
+                assert info.value.twists == (pos + 1,)
+    # mu^2 lies 1.8e-6 from 1, outside the tolerance, and the held
+    # shift (2,) has only points for its boundary, yet mu itself is
+    # within it: the series is refused like any other
+    mus = TwistVector.approx([0.9e-6])
+    inst = ZetaInstance(SparsePolynomial.one(1),
+                        (SparsePolynomial.variable(1, 1) * 2,), mus)
+    quadratic = [StructuredQuadratic((), (2,))]
+    for evaluate in (
+        lambda: linear_special_value(inst, (1,), (2,)),
+        lambda: quadratic_special_value(quadratic, mus, (1,), (2,)),
+    ):
+        with pytest.raises(ApproxIllConditioned) as info:
+            evaluate()
+        assert info.value.twists == (1,)
 
 
-def test_ill_conditioned_stratum_is_named_in_the_queried_variables():
-    # the near-1 twist mu_2 has no shift of its own: every shift of the
-    # three-variable series meets it in a boundary stratum, one over m_2
-    # and m_3 whose default shift runs along m_2, or one over m_2 alone
-    # in a stratum of a stratum
+def test_ill_conditioned_twist_is_named_in_the_queried_variables():
+    # the near-1 twist mu_2 is named in the numbering of the queried
+    # series, with one text for every shift whose mu^a is away from 1
     X = [SparsePolynomial.variable(3, i) for i in (1, 2, 3)]
     inst = ZetaInstance(SparsePolynomial.one(3), (X[0] + X[1] + X[2],),
                         TwistVector.approx([2.0, 1e-9, 3.0]))
-    texts = {}
-    for shift, fixed in (("default", ((1, 1),)), ((1, 0, 0), ((1, 1),)),
-                         ((0, 0, 1), ((1, 1), (3, 1))),
-                         ((1, 1, 1), ((1, 1), (3, 1)))):
+    for shift in ("default", (1, 0, 0), (0, 0, 1), (1, 1, 1)):
         with pytest.raises(ApproxIllConditioned) as info:
             special_value(inst, (1,), shift=shift)
         assert info.value.twists == (2,)
-        assert info.value.fixed == fixed
-        texts[shift] = str(info.value)
-    assert texts["default"] == (
-        "mu_2 lies within 1e-06 of 1, so the boundary stratum m_1 = 1 of "
-        "shift (1, 0, 0), a sum over m_2 and m_3, has mu^a as close to 1 "
-        "on its default shift, along m_2"
-    )
-    assert texts[(1, 1, 1)] == (
-        "mu_2 lies within 1e-06 of 1, so the boundary stratum m_1 = 1, "
-        "m_3 = 1 of shift (1, 1, 1), a sum over m_2 alone, has no shift "
-        "with mu^a away from 1"
-    )
-    # shift (0, 0, 1) has no stratum m_1 = 1: that one belongs to the
-    # default shift of its stratum m_3 = 1, and the text names both
-    assert texts[(0, 0, 1)] == (
-        "mu_2 lies within 1e-06 of 1, so the boundary stratum m_3 = 1 of "
-        "shift (0, 0, 1), a sum over m_1 and m_2, has on its default shift "
-        "the boundary stratum m_1 = 1, a sum over m_2 alone, which has no "
-        "shift with mu^a away from 1"
-    )
+        assert str(info.value) == _REFUSAL.format(2)
 
 
 def test_default_context_is_the_context_of_the_default_pick():

@@ -217,6 +217,15 @@ def test_canonical_text_distinguishes_vectors():
 def test_negapolylog_cache_is_exposed():
     assert hasattr(negapolylog, "cache_clear")
     assert hasattr(eulerian_negapolylog, "cache_clear")
+    # the memo keys on the Twist itself: an exponent shifted by the order
+    # is another key with the same value, and a repeated call is a hit
+    for r, e, n in ((5, 2, 3), (12, 7, 4), (7, -3, 2)):
+        mu = Twist(mode="exact", order=r, exponent=e)
+        value = negapolylog(n, mu)
+        assert value == negapolylog(n, Twist("exact", r, e + r))
+        hits = negapolylog.cache_info().hits
+        assert negapolylog(n, Twist("exact", r, e)) is value
+        assert negapolylog.cache_info().hits == hits + 1
 
 
 def test_lincomb_dispatches_by_mode():
