@@ -11,8 +11,9 @@ E is a product of SparsePolynomials, so it runs on integer numerators
 over one denominator and closed_value reads E's stored table.
 
 The sum is separable, so both modes contract it one variable at a
-time against the rows zeta_{mu_n}(-j): the last variable by one lincomb
-per exponent prefix, with E's integer numerators as weights, each
+time against the rows zeta_{mu_n}(-j): the last variable by one
+TwistVector.lincomb per exponent prefix, with E's integer numerators as
+weights (in exact mode one integer dot product per coordinate), each
 earlier one by one product per prefix, and E's denominator divides once
 at the end.  Approx mode walks E in sorted exponent order, so its
 doubles do not depend on the path each product of the expansion took.
@@ -21,6 +22,7 @@ doubles do not depend on the path each product of the expansion took.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .errors import DimensionMismatch
@@ -40,7 +42,7 @@ def expand_numerator(
         raise DimensionMismatch(
             f"{len(Ps)} factors against {len(k)} exponents"
         )
-    k = [int(kt) for kt in k]
+    k = list(map(operator.index, k))
     for P, kt in zip(Ps, k):
         if kt < 0:
             raise ValueError("exponents k_t must be naturals")
@@ -59,7 +61,8 @@ def closed_value(
 
     E's numerators are grouped by exponent prefix, and each group's last
     variable is summed in one TwistVector.lincomb over the values
-    zeta_{mu_N}(-a_N) with the integer numerators as weights; contracting
+    zeta_{mu_N}(-a_N) with the integer numerators as weights, in exact
+    mode one CyclotomicField._dot and one normalization; contracting
     variable n < N then costs one product zeta_{mu_n}(-a_n) times the
     inner sum per distinct prefix (a_1..a_n), so N = 1 makes none.  The
     one step that depends on the mode: approx mode takes E's terms in

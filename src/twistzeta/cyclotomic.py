@@ -147,67 +147,28 @@ class CyclotomicField:
         p, q = _ratio(_exact(value))
         return CyclotomicElement(self, (p,) + (0,) * (self.degree - 1), q)
 
-    def lincomb(self, pairs, den: int = 1) -> "CyclotomicElement":
-        """sum of x * c over (element, exact scalar) pairs, divided by the
-        positive int den.
+    def _dot(self, nums, dens, weights) -> tuple[list, int]:
+        """(num, den) of sum_j weights[j] * nums[j] / dens[j], for
+        coordinate vectors nums of this field, positive int denominators
+        dens and int weights, not normalized: every exact sum of field
+        elements runs here.
 
-        The sum runs on integer numerators over a running common
-        denominator and is normalized once at the end, instead of one
-        scaling and one sum (each with its own gcd) per term.
-        """
-        order = self.order
-        acc = None
-        acc_den = 1
-        for x, c in pairs:
-            if x.field.order != order:
-                raise FieldMismatch(f"orders {order} and {x.field.order}")
-            if type(c) is int:
-                p, q = c, 1
-            else:
-                pq = _ratio(c)
-                if pq is None:
-                    raise TypeError(
-                        f"coefficients must be exact rationals, not "
-                        f"{type(c).__name__}"
-                    )
-                p, q = pq
-            if not p:
-                continue
-            xd = x.den * q
-            if acc is None:
-                acc = [y * p for y in x.num]
-                acc_den = xd
-            elif xd == acc_den:
-                acc = [s + y * p for s, y in zip(acc, x.num)]
-            else:
-                g = math.gcd(acc_den, xd)
-                sa = xd // g
-                p *= acc_den // g
-                acc = [s * sa + y * p for s, y in zip(acc, x.num)]
-                acc_den *= sa
-        if acc is None:
-            return self.zero
-        return _reduced(self, tuple(acc), acc_den * den)
-
-    def _dot(self, xs: list, weights: list) -> tuple[list, int]:
-        """(num, den) of sum_j weights[j] * xs[j], for elements xs of this
-        field and int weights, not normalized.
-
-        Each weight absorbs the factor that brings its element to the
-        least common denominator, then every coordinate is one integer
-        dot product of the weights with that coordinate's column."""
-        if not xs:
-            return [0] * self.degree, 1
-        den = math.lcm(*{x.den for x in xs})
+        Each weight absorbs the factor that brings its vector to the
+        least common denominator.  The loop then runs along the shorter
+        side: with fewer vectors than coordinates each scaled vector is
+        added in turn, otherwise every coordinate is one integer dot
+        product of the weights with that coordinate's column."""
+        den = math.lcm(*dens)
         if den != 1:
-            weights = [
-                w if x.den == den else w * (den // x.den)
-                for w, x in zip(weights, xs)
-            ]
+            weights = [w * (den // d) for w, d in zip(weights, dens)]
+        if len(nums) < self.degree:
+            acc = [0] * self.degree
+            for w, num in zip(weights, nums):
+                acc = [a + w * y for a, y in zip(acc, num)]
+            return acc, den
         mul = operator.mul
         return [
-            sum(map(mul, weights, column))
-            for column in zip(*[x.num for x in xs])
+            sum(map(mul, weights, column)) for column in zip(*nums)
         ], den
 
     @property
@@ -311,14 +272,16 @@ def _from_rationals(field: CyclotomicField, coords) -> "CyclotomicElement":
     return CyclotomicElement(field, num, den)
 
 
-def _reduced(field: CyclotomicField, num: tuple, den: int):
-    """The canonical element num/den, for any den > 0."""
+def _reduced(field: CyclotomicField, num, den: int):
+    """The canonical element num/den, for integer numerators num and any
+    den > 0."""
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
-            num = tuple([c // g for c in num])
-            den //= g
-    return CyclotomicElement(field, num, den)
+            return CyclotomicElement(
+                field, tuple([c // g for c in num]), den // g
+            )
+    return CyclotomicElement(field, tuple(num), den)
 
 
 def _fixed_pi(bits: int) -> int:
@@ -400,28 +363,18 @@ class CyclotomicElement:
             return None
         return (pq[0],) + (0,) * (self.field.degree - 1), pq[1]
 
-    def _add(self, bn: tuple, bd: int) -> "CyclotomicElement":
-        an, ad = self.num, self.den
-        if ad == bd:
-            return _reduced(self.field, tuple(map(operator.add, an, bn)), ad)
-        if not any(an):
-            return CyclotomicElement(self.field, bn, bd)
-        if not any(bn):
-            return self
-        g = math.gcd(ad, bd)
-        sa, sb = bd // g, ad // g
-        num = tuple([x * sa + y * sb for x, y in zip(an, bn)])
-        if g == 1:
-            # a prime of ad (or bd) divides every numerator only if it
-            # divides every a (or b) numerator, which canonical form rules out
-            return CyclotomicElement(self.field, num, ad * bd)
-        return _reduced(self.field, num, ad * sa)
+    def _add(self, operand, wa: int, wb: int) -> "CyclotomicElement":
+        """wa * self + wb * operand, for an operand (num, den) of
+        _operand and int weights."""
+        bn, bd = operand
+        num, den = self.field._dot((self.num, bn), (self.den, bd), (wa, wb))
+        return _reduced(self.field, num, den)
 
     def __add__(self, other):
         operand = self._operand(other)
         if operand is None:
             return NotImplemented
-        return self._add(*operand)
+        return self._add(operand, 1, 1)
 
     __radd__ = __add__
 
@@ -429,14 +382,13 @@ class CyclotomicElement:
         operand = self._operand(other)
         if operand is None:
             return NotImplemented
-        bn, bd = operand
-        return self._add(tuple(-c for c in bn), bd)
+        return self._add(operand, 1, -1)
 
     def __rsub__(self, other):
         operand = self._operand(other)
         if operand is None:
             return NotImplemented
-        return (-self)._add(*operand)
+        return self._add(operand, -1, 1)
 
     def __neg__(self):
         return CyclotomicElement(

@@ -27,10 +27,14 @@ therefore meets the same face sub-series, and one session shares their
 contexts and value tables across shifts.  The default shift e_1 has the
 single face m_1 = 1.
 
-In exact mode one step of the relation is one sum on integer numerators
-over a running denominator, normalized once: the u-sum is an integer dot
-product per coordinate, and mu^a, the prefactors and 1/(1 - mu^a) apply
-to numerators by field products.  Approx mode forms each product and sum
+In exact mode one step of the relation is one integer sum and one
+normalization, from Z(Q; -k) = mu^a/(1 - mu^a) (u-sum + Delta_a part +
+mu^-a Z_boundary): CyclotomicField._dot adds the monomial values of the
+u-sum, each face's value times mu^-a times its prefactor and each point
+term, one dot product per coordinate over the least common denominator
+of the terms; one field product by mu^a/(1 - mu^a) and one gcd end the
+step.  mu^-a times a prefactor or a point's mu^b is a root of unity
+over 1, formed once per context.  Approx mode forms each product and sum
 of the step in turn, in a fixed order, so its doubles do not depend on
 how the exact path is arranged.
 """
@@ -147,7 +151,7 @@ class ShiftVector:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        object.__setattr__(self, "a", tuple(map(operator.index, self.a)))
         if any(x < 0 for x in self.a):
             raise ValueError("shift entries must be naturals")
         if not any(self.a):
@@ -305,10 +309,12 @@ class _Context:
     """Everything in one step of the relation for (P_1..P_T, mu, a) that
     depends neither on k nor on the numerator.
 
-    That is mu^a, 1/(1 - mu^a), the differences Delta_a P_t, the
-    products G(v), and the signed boundary faces: restricted pairs each
-    face with the default context of its sub-series (shared with every
-    other shift that has the face), points holds the points.  The
+    That is mu^a, 1/(1 - mu^a) (approx mode) or mu^a/(1 - mu^a) and
+    the numerators of mu^-a times each face's prefactor and each point's
+    mu^b (exact mode), the differences Delta_a P_t, the products G(v),
+    and the signed boundary faces: restricted pairs each face with the
+    default context of its sub-series (shared with every other shift
+    that has the face), points holds the points.  The
     context also holds V[(alpha, k)], the values of monomial numerators,
     and steps, the step data of every numerator it has met, keyed by
     alpha for X^alpha and by the canonical text of an explicit top-level
@@ -330,6 +336,9 @@ class _Context:
         "restricted",
         "points",
         "mul",
+        "face_roots",
+        "point_roots",
+        "scale",
         "_g",
     )
 
@@ -347,10 +356,16 @@ class _Context:
         self.a = a
         self.mu_a = mu_power(mus, a)
         if mus.mode == "exact":
-            self.field = CyclotomicField.get(mus.order)
-            self.inv1ma = self.field.inverse_one_minus_root(
-                mus.power_exponent(a)
-            )
+            field = self.field = CyclotomicField.get(mus.order)
+            e = mus.power_exponent(a)
+            # Z = mu^a/(1 - mu^a) (u-sum + mu^-a boundary): mu^-a times a
+            # face's prefactor or a point's mu^b is again a root over 1
+            back = field.root(-e)
+            self.face_roots = [
+                (piece.prefactor * back).num for piece, _ in restricted
+            ]
+            self.point_roots = [(point.mu_b * back).num for point in points]
+            self.scale = self.mu_a * field.inverse_one_minus_root(e)
         else:
             self.field = None
             self.inv1ma = 1.0 / (mus.one_scalar() - self.mu_a)
@@ -426,7 +441,8 @@ class _Point:
     """A boundary lattice point b with mu^b and every P_t(b) evaluated
     once; its summand at -k is sign mu^b nb prod_t P_t(b)^(k_t), nb the
     numerator's value at b.  Both modes read the signed integer ratio
-    power(k), memoized per k, and scale mu^b by it times nb."""
+    power(k), memoized per k, and scale mu^b (in exact mode the
+    context's mu^(b-a)) by it times nb."""
 
     __slots__ = ("b", "sign", "mu_b", "pvals", "_pows")
 
@@ -475,17 +491,6 @@ def _unit_tuples(n: int) -> list:
     units = _UNIT_TUPLES
     units.extend((j,) for j in range(len(units), n + 1))
     return units
-
-
-def _add_over(acc: list, acc_den: int, num, den: int, p: int = 1):
-    """(numerators, denominator) of acc/acc_den + p num/den, over a
-    common denominator and with no gcd of the numerators."""
-    if den == acc_den:
-        return [s + y * p for s, y in zip(acc, num)], acc_den
-    g = math.gcd(acc_den, den)
-    sa = den // g
-    p *= acc_den // g
-    return [s * sa + y * p for s, y in zip(acc, num)], acc_den * sa
 
 
 def _check_descent(N: int, groups: list, parent) -> None:
@@ -542,19 +547,20 @@ class ValueCache:
         not depend on a, so its context, keyed by the face's own (Ps,
         mus), serves every shift that has the face.  None is the
         default pick of choose_shift; its key is an alias of the context
-        of that explicit shift, so a default lookup is one dict hit.  An
-        explicit a must have passed choose_shift for these twists: in
-        approx mode that refuses a near-1 twist before anything is
-        built, and the face contexts, whose twists are a subset, pass
-        it again."""
+        of that explicit shift, so a default lookup is one dict hit.  A
+        key is validated by choose_shift once, when it misses: in approx
+        mode that refuses a near-1 twist, in the numbering of mus,
+        before anything is built, and the face contexts, whose twists
+        are a subset, pass it again."""
         key = (mus.canonical_text(), a) + tuple(P.canonical_text() for P in Ps)
         ctx = self._contexts.get(key)
         if ctx is None:
-            if a is None:
-                ctx = self.context(Ps, mus, choose_shift(mus).a)
-            else:
+            shift = choose_shift(mus, "default" if a is None else a).a
+            explicit = (key[0], shift) + key[2:]
+            ctx = self._contexts.get(explicit)
+            if ctx is None:
                 one = SparsePolynomial.one(len(mus))
-                pieces = boundary_decompose(ZetaInstance(one, Ps, mus), a)
+                pieces = boundary_decompose(ZetaInstance(one, Ps, mus), shift)
                 points = [
                     _Point(Ps, mus, piece.point, piece.sign)
                     for piece in pieces
@@ -565,7 +571,8 @@ class ValueCache:
                     for piece in pieces
                     if isinstance(piece, Restricted)
                 ]
-                ctx = _Context(Ps, mus, a, restricted, points)
+                ctx = _Context(Ps, mus, shift, restricted, points)
+                self._contexts[explicit] = ctx
             self._contexts[key] = ctx
         return ctx
 
@@ -641,10 +648,13 @@ class ValueCache:
         generator: it yields (ctx, alpha, k, parent) for every V entry it
         misses and returns the value (see _run).
 
-        Exact mode sums on integer numerators over a running denominator:
-        mu^a and the prefactors are roots of unity over 1, so they apply
-        to numerators by one field product each, and the value is
-        normalized once, after the product by 1/(1 - mu^a); the signs of
+        Exact mode adds every term in one CyclotomicField._dot, over the
+        least common denominator lcd of the u-sum's polynomials: the
+        u-sum's values with their weights, each face's value times its
+        root mu^-a prefactor (one field product on numerators) with
+        weight lcd, and each point's root mu^(b-a) with weight
+        p nb.numerator lcd over q nb.denominator.  One product by
+        mu^a/(1 - mu^a) and one normalization end the step; the signs of
         the faces ride on their prefactors and point terms.  Approx mode
         forms each product and sum in turn, in the order written here; a
         point adds mu^b times p nb / q, one correctly rounded division of
@@ -666,21 +676,22 @@ class ValueCache:
                 total = total + point.mu_b * ratio
             return ctx.inv1ma * total
         taps = field.taps
-        num, den = combined
-        acc = kernels.cyclo_mul(ctx.mu_a.num, num, taps)
-        for (piece, sub_ctx), poly in faces:
+        nums, dens, weights, lcd = combined
+        for ((_, sub_ctx), poly), root in zip(faces, ctx.face_roots):
             sval = yield from self._resolve(sub_ctx, poly, k, parent)
-            num = kernels.cyclo_mul(piece.prefactor.num, sval.num, taps)
-            acc, den = _add_over(acc, den, num, sval.den)
-        for point, nb in zip(ctx.points, data.at_points):
+            nums.append(kernels.cyclo_mul(root, sval.num, taps))
+            dens.append(sval.den)
+            weights.append(lcd)
+        points = zip(ctx.points, data.at_points, ctx.point_roots)
+        for point, nb, root in points:
             if nb:
                 p, q = point.power(k)
-                acc, den = _add_over(
-                    acc, den, point.mu_b.num, q * nb.denominator,
-                    p * nb.numerator,
-                )
-        num = kernels.cyclo_mul(ctx.inv1ma.num, acc, taps)
-        return _reduced(field, num, den * ctx.inv1ma.den)
+                nums.append(root)
+                dens.append(q * nb.denominator)
+                weights.append(p * nb.numerator * lcd)
+        num, den = field._dot(nums, dens, weights)
+        num = kernels.cyclo_mul(ctx.scale.num, num, taps)
+        return _reduced(field, num, den * lcd * ctx.scale.den)
 
     def _run(self, gen) -> Scalar:
         """Drive the step generator gen to its value on one explicit
@@ -715,11 +726,11 @@ class ValueCache:
         |u|, deg polynomial) < parent, so a cached V entry cannot hide a
         step that fails to descend.  Exact mode then fuses every group
         into one integer weight per V value over the least common
-        denominator of the polynomials, reading the V table directly and
-        stepping only on a miss, and returns the sum unnormalized, as
-        (numerators, denominator) from one integer dot product per
-        coordinate; approx mode keeps one combination per group, scaled
-        by w and summed in order."""
+        denominator lcd of the polynomials, reading the V table directly
+        and stepping only on a miss, and returns the terms for _step's
+        CyclotomicField._dot: (numerators, denominators, weights, lcd),
+        the sum being the dot product over lcd; approx mode keeps one
+        combination per group, scaled by w and summed in order."""
         if __debug__ and parent is not None:
             _check_descent(ctx.N, groups, parent)
         if ctx.field is not None:
@@ -741,8 +752,8 @@ class ValueCache:
                         value = yield ctx, alpha, u, parent
                     add_value(value)
                     add_weight(c * w)
-            num, den = ctx.field._dot(values, weights)
-            return num, den * lcd
+            nums = [x.num for x in values]
+            return nums, [x.den for x in values], weights, lcd
         acc = ctx.zero
         for p, u, w in groups:
             if p.nums:
@@ -764,7 +775,7 @@ class ValueCache:
 
 
 def _as_k(inst: ZetaInstance, k) -> tuple[int, ...]:
-    k = tuple(int(x) for x in k)
+    k = tuple(map(operator.index, k))
     if len(k) != inst.nfactors:
         raise DimensionMismatch(
             f"k of length {len(k)} against {inst.nfactors} factors"

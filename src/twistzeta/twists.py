@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from ._rational import Rational
-from .cyclotomic import CyclotomicElement, CyclotomicField
-from .errors import DimensionMismatch, TwistIsOne
+from .cyclotomic import CyclotomicElement, CyclotomicField, _ratio, _reduced
+from .errors import DimensionMismatch, FieldMismatch, TwistIsOne
 
 __all__ = [
     "Twist",
@@ -190,11 +190,32 @@ class TwistVector:
     def lincomb(self, pairs: Iterable, den: int = 1) -> Scalar:
         """sum of s * c / den over (Scalar, exact rational) pairs.
 
-        Exact mode normalizes once (CyclotomicField.lincomb); approx mode
-        scales term by term in pair order, the same doubles as a loop of
-        scale() and + starting from zero."""
+        Exact mode is one CyclotomicField._dot, a weight p/q entering as
+        the int p over the element's denominator times q, and one
+        normalization; approx mode scales term by term in pair order, the
+        same doubles as a loop of scale() and + starting from zero."""
         if self.mode == "exact":
-            return CyclotomicField.get(self.order).lincomb(pairs, den)
+            order = self.order
+            nums, dens, weights = [], [], []
+            for x, c in pairs:
+                if x.field.order != order:
+                    raise FieldMismatch(f"orders {order} and {x.field.order}")
+                d = x.den
+                if type(c) is not int:
+                    pq = _ratio(c)
+                    if pq is None:
+                        raise TypeError(
+                            f"coefficients must be exact rationals, not "
+                            f"{type(c).__name__}"
+                        )
+                    c, q = pq
+                    d *= q
+                nums.append(x.num)
+                dens.append(d)
+                weights.append(c)
+            field = CyclotomicField.get(order)
+            num, d = field._dot(nums, dens, weights)
+            return _reduced(field, num, d * den)
         acc = 0j
         if den == 1:
             for s, c in pairs:

@@ -23,6 +23,7 @@ from twistzeta.cyclotomic import (
 )
 from twistzeta.errors import DimensionMismatch, FieldMismatch, ZeroInverse
 from twistzeta._rational import rat
+from twistzeta.twists import TwistVector
 
 # low-degree-first coefficient tuples
 KNOWN = {
@@ -342,13 +343,59 @@ def test_element_is_hashable_dict_key():
     assert seen[field.root(7)] == "a"
 
 
+# 0 stands for the zero operand, which is stored over 1
+_DENS = [0, 1, 2, 3, 4, 6, 9, 10, 12]
+
+
+@st.composite
+def operands(draw, field, den):
+    """An element whose stored den is exactly den (zero for den 0): the
+    first numerator is +-1, so no factor of den cancels."""
+    if not den:
+        return field.zero
+    first = draw(st.sampled_from([-1, 1]))
+    rest = draw(
+        st.lists(st.integers(-20, 20), min_size=field.degree - 1,
+                 max_size=field.degree - 1)
+    )
+    x = field.element([Fraction(n, den) for n in [first] + rest])
+    assert x.den == den
+    return x
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 5, 12]), st.sampled_from(_DENS),
+       st.sampled_from(_DENS), st.data())
+def test_sums_are_canonical_coordinatewise_fraction_sums(r, dx, dy, data):
+    # zero operands and equal, coprime and shared-factor denominators,
+    # element + element and exact scalar +- element
+    field = CyclotomicField.get(r)
+    x = data.draw(operands(field, dx))
+    y = data.draw(operands(field, dy))
+    c = data.draw(st.one_of(
+        st.integers(-5, 5),
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENS[1:])),
+    ))
+    lifted = (Fraction(c),) + (Fraction(0),) * (field.degree - 1)
+    for got, want in (
+        (x + y, [a + b for a, b in zip(x.coords, y.coords)]),
+        (x - y, [a - b for a, b in zip(x.coords, y.coords)]),
+        (c + x, [a + b for a, b in zip(lifted, x.coords)]),
+        (c - x, [a - b for a, b in zip(lifted, x.coords)]),
+    ):
+        assert_canonical(got)
+        assert list(got.coords) == want
+
+
 coefficients_st = st.one_of(st.integers(-6, 6), rationals_st)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 5, 12]), st.data())
 def test_lincomb_matches_sequential_scale_and_sum(r, data):
+    # the exact branch of TwistVector.lincomb
     field = CyclotomicField.get(r)
+    mus = TwistVector.exact(r, [1])
     n = data.draw(st.integers(0, 6))
     xs = [draw_element(data, field) for _ in range(n)]
     cs = [data.draw(coefficients_st) for _ in range(n)]
@@ -357,7 +404,7 @@ def test_lincomb_matches_sequential_scale_and_sum(r, data):
     for x, c in zip(xs, cs):
         want = want + x * c
     want = want * rat(1, den)
-    got = field.lincomb(zip(xs, cs), den)
+    got = mus.lincomb(zip(xs, cs), den)
     assert_canonical(got)
     assert got == want
     assert got.coords == want.coords
@@ -366,6 +413,7 @@ def test_lincomb_matches_sequential_scale_and_sum(r, data):
 @pytest.mark.parametrize("r", [2, 5, 12])
 def test_lincomb_edge_cases(r):
     field = CyclotomicField.get(r)
+    mus = TwistVector.exact(r, [1])
     x = field.root(1) + rat(2, 3)
     y = field.root(r - 1) * rat(-5, 4)
     cases = [
@@ -379,17 +427,18 @@ def test_lincomb_edge_cases(r):
         ([(y, 2)], 1, y * 2),
     ]
     for pairs, den, want in cases:
-        got = field.lincomb(pairs, den)
+        got = mus.lincomb(pairs, den)
         assert_canonical(got)
         assert got == want
 
 
 def test_lincomb_refuses_other_fields_and_floats():
     field = CyclotomicField.get(5)
+    mus = TwistVector.exact(5, [1])
     with pytest.raises(FieldMismatch):
-        field.lincomb([(CyclotomicField.get(4).one, 1)])
+        mus.lincomb([(CyclotomicField.get(4).one, 1)])
     with pytest.raises(TypeError):
-        field.lincomb([(field.one, 0.5)])
+        mus.lincomb([(field.one, 0.5)])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 9, 12, 60])

@@ -109,6 +109,38 @@ def test_zero_numerator_still_validates_an_explicit_shift():
     assert info.value.twists == (2,)
 
 
+def test_context_validates_an_explicit_shift():
+    # a direct call with an unvalidated shift refuses in the numbering of
+    # the queried series, before any face context is built
+    X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+    Ps = (X1 + X2 + 1,)
+    session = ValueCache()
+    with pytest.raises(ApproxIllConditioned) as info:
+        session.context(Ps, TwistVector.approx([2.0, 1e-9]), (1, 0))
+    assert info.value.twists == (2,)
+    assert str(info.value) == _REFUSAL.format(2)
+    with pytest.raises(MuPowerIsOne):
+        session.context(Ps, TwistVector.exact(4, [2, 2]), (1, 1))
+    assert not session._contexts
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, rat(5, 2)])
+def test_non_integral_k_and_shift_entries_are_refused(bad):
+    # int() would truncate 2.9 to 2 and answer for another k
+    X = SparsePolynomial.variable(1, 1)
+    one = SparsePolynomial.one(1)
+    mus = TwistVector.exact(3, [1])
+    inst = ZetaInstance(one, (X + 1,), mus)
+    with pytest.raises(TypeError):
+        special_value(inst, (bad,))
+    with pytest.raises(TypeError):
+        closed_value(one, (X + 1,), (bad,), mus)
+    with pytest.raises(TypeError):
+        choose_shift(mus, (bad - 1,))
+    with pytest.raises(TypeError):
+        special_value(inst, (2,), shift=(bad - 1,))
+
+
 def test_oracle_agreement_on_random_instances():
     for inst in oracle_corpus(1105, 25):
         session = ValueCache()
