@@ -26,7 +26,7 @@ from .abel import abel_richardson
 from .closedform import closed_value
 from .conditions import validate_conditions
 from .cyclotomic import CyclotomicElement, CyclotomicField
-from .document import ProblemDocument, ValueRecord, _float_text
+from .document import ProblemDocument, ValueRecord, _pair_text
 from .engine import ValueCache, ZetaInstance, choose_shift, special_value
 from .errors import (
     DocumentError,
@@ -213,10 +213,6 @@ def _compute_record(
     )
 
 
-def _record_lines(records: list[ValueRecord]) -> list[str]:
-    return [r.machine_line() for r in records]
-
-
 def _fail_on_disagreement(records: list[ValueRecord]) -> None:
     for r in records:
         if r.agree is False:
@@ -230,65 +226,54 @@ def _fail_on_disagreement(records: list[ValueRecord]) -> None:
 # subcommands ---------------------------------------------------------
 
 
-def _cmd_value(args) -> int:
+def _query_ks(args, doc: ProblemDocument, nfactors: int) -> list:
+    """The k of a value or table command: value takes one k or the
+    document's queries, table the box up to --max or the document's
+    range."""
+    if args.command == "table":
+        if args.max is not None:
+            return list(_box(_parse_k(args.max, nfactors)))
+        if doc.max_k is not None:
+            return list(_box(doc.max_k))
+        raise DocumentError("no --max given and the document has no range")
+    if args.k is not None:
+        return [_parse_k(args.k, nfactors)]
+    if doc.queries:
+        return list(doc.queries)
+    raise DocumentError("no k given and the document lists no queries")
+
+
+def _cmd_values(args) -> int:
+    """value and table: one machine line per k, which table precedes
+    with an aligned k / value / decimal table and a blank line."""
     doc = _read_document(args.document)
     inst = doc.to_instance(args.mode)
+    ks = _query_ks(args, doc, inst.nfactors)
     session = ValueCache()
     loaded = _cache_load(args.cache, session, inst.mus.mode)
-    if args.k is not None:
-        ks = [_parse_k(args.k, inst.nfactors)]
-    elif doc.queries:
-        ks = list(doc.queries)
-    else:
-        raise DocumentError("no k given and the document lists no queries")
     shift = _parse_shift(args.shift, inst.nvars)
     records = [
         _compute_record(inst, k, args.method, shift, session,
                         args.inject_fault)
         for k in ks
     ]
-    for line in _record_lines(records):
-        print(line)
-    _cache_save(args.cache, session, inst.mus.mode, loaded)
-    _fail_on_disagreement(records)
-    return 0
-
-
-def _cmd_table(args) -> int:
-    doc = _read_document(args.document)
-    inst = doc.to_instance(args.mode)
-    if args.max is not None:
-        max_k = _parse_k(args.max, inst.nfactors)
-    elif doc.max_k is not None:
-        max_k = doc.max_k
-    else:
-        raise DocumentError("no --max given and the document has no range")
-    session = ValueCache()
-    loaded = _cache_load(args.cache, session, inst.mus.mode)
-    shift = _parse_shift(args.shift, inst.nvars)
-    records = [
-        _compute_record(inst, k, args.method, shift, session,
-                        args.inject_fault)
-        for k in _box(max_k)
-    ]
-    rows = [
-        (
-            ",".join(str(x) for x in r.k),
-            r.pretty_value(),
-            f"{_float_text(r.approx.real)},{_float_text(r.approx.imag)}",
-        )
-        for r in records
-    ]
-    widths = [
-        max(len("k"), *(len(row[0]) for row in rows)),
-        max(len("value"), *(len(row[1]) for row in rows)),
-    ]
-    print(f"{'k'.ljust(widths[0])}  {'value'.ljust(widths[1])}  decimal")
-    for row in rows:
-        print(f"{row[0].ljust(widths[0])}  {row[1].ljust(widths[1])}  {row[2]}")
-    print()
-    for line in _record_lines(records):
-        print(line)
+    if args.command == "table":
+        rows = [
+            (",".join(str(x) for x in r.k), r.pretty_value(),
+             _pair_text(r.approx, ","))
+            for r in records
+        ]
+        widths = [
+            max(len("k"), *(len(row[0]) for row in rows)),
+            max(len("value"), *(len(row[1]) for row in rows)),
+        ]
+        print(f"{'k'.ljust(widths[0])}  {'value'.ljust(widths[1])}  decimal")
+        for row in rows:
+            print(f"{row[0].ljust(widths[0])}  {row[1].ljust(widths[1])}  "
+                  f"{row[2]}")
+        print()
+    for r in records:
+        print(r.machine_line())
     _cache_save(args.cache, session, inst.mus.mode, loaded)
     _fail_on_disagreement(records)
     return 0
@@ -377,9 +362,7 @@ def _cmd_verify(args) -> int:
                 raise _Disagreement(
                     f"Abel estimate misses at k={ktext} by {resid:.3e}"
                 )
-        v_text = str(v_rec) if exact_mode else (
-            f"{_float_text(v_rec.real)},{_float_text(v_rec.imag)}"
-        )
+        v_text = str(v_rec) if exact_mode else _pair_text(v_rec, ",")
         print(
             f"k={ktext} value={v_text} methods=agree "
             f"shifts={1 + len(shifts)} abel={abel_text}"
@@ -432,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated k, e.g. 1,0; defaults to "
                               "the document queries")
     _add_evaluation(p_value)
-    p_value.set_defaults(func=_cmd_value)
+    p_value.set_defaults(func=_cmd_values)
 
     p_table = subs.add_parser("table", help="evaluate a whole box of k")
     _add_common(p_table)
     p_table.add_argument("--max", default=None, metavar="K1,...,KT")
     _add_evaluation(p_table)
-    p_table.set_defaults(func=_cmd_table)
+    p_table.set_defaults(func=_cmd_values)
 
     p_verify = subs.add_parser(
         "verify", help="cross-check both methods, shifts, and Abel sums"

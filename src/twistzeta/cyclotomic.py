@@ -18,7 +18,7 @@ import math
 import operator
 
 from ._backend import kernels
-from ._rational import ONE, ZERO, Rational, format_rational
+from ._rational import Rational, format_rational
 from .errors import DimensionMismatch, EngineError, FieldMismatch, ZeroInverse
 
 __all__ = [
@@ -446,28 +446,43 @@ class CyclotomicElement:
         return result
 
     def inverse(self) -> "CyclotomicElement":
-        """Multiplicative inverse via the extended Euclidean algorithm on
-        the numerator polynomial and the field polynomial over Q; the
-        inverse of num/den is den times the inverse of num."""
+        """Multiplicative inverse by fraction-free elimination (Bareiss,
+        Math. Comp. 22, 1968), in integers only.
+
+        Column j of the matrix M of multiplication by num is num * z^j
+        reduced modulo Phi_r.  Elimination on [M | e_0] keeps every entry
+        a minor of it, each step dividing exactly by the previous pivot,
+        and ends on the pivot det = +-det(M); integer back substitution
+        then gives y = det * M^-1 e_0, so 1/num = y/det and the inverse
+        of num/den is den * y / det."""
         if self.is_zero:
             raise ZeroInverse("zero has no inverse")
-        # Invariant: old_r = old_s * num + (...) * modulus, over Q[x].
-        old_r = [Rational(c) for c in self.num]
-        r = [Rational(c) for c in self.field.modulus]
-        old_s = [ONE]
-        s: list = [ZERO]
-        while any(r):
-            q, rem = _poly_divmod(old_r, r)
-            old_r, r = r, rem
-            old_s, s = s, _poly_sub(old_s, _poly_mul(q, s))
-        # old_r is now a nonzero constant gcd (the modulus is irreducible)
-        lead = _poly_trim(old_r)
-        if len(lead) != 1:
-            raise ZeroInverse("element shares a factor with the modulus")
-        scale = self.den / lead[0]
-        coeffs = [c * scale for c in old_s[: self.field.degree]]
-        coeffs += [ZERO] * (self.field.degree - len(coeffs))
-        return _from_rationals(self.field, coeffs)
+        field = self.field
+        phi, taps = field.degree, field.taps
+        cols = [
+            kernels.cyclo_fold([0] * j + list(self.num), phi, taps)
+            for j in range(phi)
+        ]
+        rows = [list(row) + [0] for row in zip(*cols)]
+        rows[0][-1] = 1
+        # Phi_r is irreducible, so M is invertible and a pivot exists
+        upper, det = [], 1
+        while rows:
+            pivot = rows.pop(next(i for i, row in enumerate(rows) if row[0]))
+            head, tail = pivot[0], pivot[1:]
+            rows = [
+                [(head * a - row[0] * b) // det for a, b in zip(row[1:], tail)]
+                for row in rows
+            ]
+            upper.append(pivot)
+            det = head
+        y: list = []
+        for row in reversed(upper):
+            rest = det * row[-1] - sum(map(operator.mul, row[1:-1], y))
+            y.insert(0, rest // row[0])
+        if det < 0:
+            det, y = -det, [-c for c in y]
+        return _reduced(field, [self.den * c for c in y], det)
 
     @property
     def is_zero(self) -> bool:
@@ -532,51 +547,3 @@ class CyclotomicElement:
 
     def __repr__(self) -> str:
         return f"<Q(zeta_{self.field.order}): {self}>"
-
-
-def _poly_trim(p: list) -> list:
-    i = len(p)
-    while i > 0 and not p[i - 1]:
-        i -= 1
-    return p[:i]
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ZERO
-        y = b[i] if i < len(b) else ZERO
-        out.append(x - y)
-    return out
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [], a
-    q = [ZERO] * (len(a) - len(b) + 1)
-    inv_lead = ONE / b[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, _poly_trim(a)

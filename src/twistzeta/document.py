@@ -237,6 +237,11 @@ def _float_text(x: float) -> str:
     return repr(x)
 
 
+def _pair_text(z: complex, sep: str) -> str:
+    """The real and imaginary parts of z by _float_text, joined by sep."""
+    return f"{_float_text(z.real)}{sep}{_float_text(z.imag)}"
+
+
 @dataclass(frozen=True)
 class ValueRecord:
     """One computed value: exact coordinates when available, a decimal
@@ -256,11 +261,11 @@ class ValueRecord:
             ex = "[" + ",".join(
                 format_rational(c) for c in self.exact.coords
             ) + "]"
-        ap = f"{_float_text(self.approx.real)},{_float_text(self.approx.imag)}"
+        ap = _pair_text(self.approx, ",")
         tags = ",".join(self.method)
         return f"k={ks} exact={ex} approx={ap} method={tags}"
 
     def pretty_value(self) -> str:
         if self.exact is not None:
             return str(self.exact)
-        return f"{_float_text(self.approx.real)} + {_float_text(self.approx.imag)}i"
+        return _pair_text(self.approx, " + ") + "i"

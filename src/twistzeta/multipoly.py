@@ -16,6 +16,7 @@ serialized text form.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping
 
 from ._backend import kernels
@@ -57,7 +58,7 @@ class SparsePolynomial:
         table: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coef in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != nvars:
                 raise DimensionMismatch(
                     f"exponent tuple {exps} in {nvars} variables"
@@ -231,7 +232,7 @@ class SparsePolynomial:
 
     def shift(self, a: Iterable[int]) -> "SparsePolynomial":
         """p(X + a) for a vector of naturals a."""
-        a = tuple(int(x) for x in a)
+        a = tuple(map(operator.index, a))
         if len(a) != self.nvars:
             raise DimensionMismatch("shift vector length")
         if any(x < 0 for x in a):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -97,7 +98,7 @@ class TwistVector:
             if not self.exponents:
                 raise ValueError("twist vector must not be empty")
             object.__setattr__(
-                self, "exponents", tuple(int(e) for e in self.exponents)
+                self, "exponents", tuple(map(operator.index, self.exponents))
             )
             for e in self.exponents:
                 if e % self.order == 0:
@@ -156,7 +157,7 @@ class TwistVector:
 
     def power_exponent(self, a: Sequence[int]) -> int:
         """The exponent e with mu^a = zeta_r^e, exact mode only."""
-        return sum(int(x) * e for x, e in zip(a, self.exponents))
+        return sum(map(operator.mul, map(operator.index, a), self.exponents))
 
     def to_approx(self) -> "TwistVector":
         if self.mode == "approx":
@@ -324,7 +325,7 @@ def negapolylog(n: int, mu: Twist) -> Scalar:
     folded vector of length r, no Horner products in the field) and
     the power of 1/(1-mu) comes from
     CyclotomicField.inverse_one_minus_root (the root-of-unity identity,
-    memoized per twist on the field), not from a Euclid inverse.
+    memoized per twist on the field), not from a general inverse.
     Approx twists evaluate A_n by Horner in complex doubles.
 
     >>> negapolylog(0, Twist(mode="exact", order=2, exponent=1))
@@ -342,10 +343,11 @@ def negapolylog(n: int, mu: Twist) -> Scalar:
 
 
 @functools.lru_cache(maxsize=None)
-def _euclid_inverse_one_minus(order: int, e: int) -> CyclotomicElement:
-    """1/(1 - zeta_r^e) by the extended Euclidean algorithm, once per
-    twist: the oracle's own inverse, independent of the root-of-unity
-    identity behind CyclotomicField.inverse_one_minus_root."""
+def _oracle_inverse_one_minus(order: int, e: int) -> CyclotomicElement:
+    """1/(1 - zeta_r^e) by CyclotomicElement.inverse (integer
+    elimination), once per twist: the oracle's own inverse, independent
+    of the root-of-unity identity behind
+    CyclotomicField.inverse_one_minus_root."""
     field = CyclotomicField.get(order)
     return (field.one - field.root(e)).inverse()
 
@@ -364,7 +366,7 @@ def eulerian_negapolylog(n: int, mu: Twist) -> Scalar:
         acc = CyclotomicField.get(mu.order).zero
         for j, c in enumerate(row):
             acc = acc + (z ** (n - j)) * c
-        inv = _euclid_inverse_one_minus(mu.order, mu.exponent)
+        inv = _oracle_inverse_one_minus(mu.order, mu.exponent)
         return acc * inv ** (n + 1)
     acc = 0j
     for j, c in enumerate(row):
@@ -380,7 +382,7 @@ def monomial_sum(alpha: Sequence[int], mus: TwistVector) -> Scalar:
         )
     acc = mus.one_scalar()
     for n, a in enumerate(alpha, start=1):
-        acc = acc * negapolylog(int(a), mus.single(n))
+        acc = acc * negapolylog(operator.index(a), mus.single(n))
     return acc
 
 
@@ -395,7 +397,7 @@ def mu_power(mus: TwistVector, a: Sequence[int]) -> Scalar:
         return CyclotomicField.get(mus.order).root(mus.power_exponent(a))
     acc = mus.one_scalar()
     for n, e in enumerate(a, start=1):
-        e = int(e)
+        e = operator.index(e)
         if e:
             acc = acc * (mus.mu(n) ** e)
     return acc

@@ -127,6 +127,43 @@ def test_verify_detects_injected_fault(capsys):
     assert "verify: FAIL" in err
 
 
+_CONDITIONS = "positivity: pass\nhypoellipticity: pass\ngrowth: pass\n"
+
+
+def test_verify_exits_3_when_a_shift_changes_the_value(capsys, monkeypatch):
+    # every explicit shift answers one more than the default shift
+    exact = cli.special_value
+
+    def skewed(inst, k, shift="default", cache=None):
+        v = exact(inst, k, shift=shift, cache=cache)
+        return v if shift == "default" else v + inst.mus.one_scalar()
+
+    monkeypatch.setattr(cli, "special_value", skewed)
+    rc, out, err = run_cli(capsys, "verify", HARMONIC)
+    assert rc == 3
+    assert out == _CONDITIONS + (
+        "counterexample: k=0 shift=all-ones\n"
+        "  default   = -1/2\n"
+        "  shifted   = 1/2\n"
+    )
+    assert err == "verify: FAIL, shift all-ones changes the value at k=0\n"
+
+
+def test_verify_exits_3_when_the_abel_estimate_misses(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "abel_richardson", lambda inst, k: 0j)
+    rc, out, err = run_cli(capsys, "verify", HARMONIC)
+    assert rc == 3
+    assert out == _CONDITIONS + "counterexample: k=0 abel residual 5.000e-01\n"
+    assert err == "verify: FAIL, Abel estimate misses at k=0 by 5.000e-01\n"
+
+
+def test_unparsable_shift_exits_2(capsys):
+    rc, out, err = run_cli(capsys, "value", LINEAR, "1", "--shift", "x")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: cannot parse shift from 'x'\n"
+
+
 def test_verify_refuses_when_growth_fails(capsys):
     rc, out, _ = run_cli(capsys, "verify", GROWTH_FAIL)
     assert rc == 2

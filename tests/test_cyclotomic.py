@@ -125,7 +125,7 @@ def test_ring_axioms(r, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 4, 5, 6, 8, 12]), st.data())
+@given(st.sampled_from([2, 3, 4, 5, 6, 8, 12, 60, 120]), st.data())
 def test_inverse_property(r, data):
     field = CyclotomicField.get(r)
     x = draw_element(data, field)
@@ -136,7 +136,21 @@ def test_inverse_property(r, data):
         inv = x.inverse()
         assert_canonical(inv)
         assert x * inv == field.one
-        assert inv.inverse() == x
+        # at phi = 32 the inverse has ~280-bit coordinates, and inverting
+        # it back takes ~0.4 s of elimination on ~9000-bit minors
+        if field.degree <= 16:
+            assert inv.inverse() == x
+
+
+def test_inverse_of_a_dense_element_at_r_360():
+    # phi = 96 with every coordinate nonzero: the widest elimination
+    field = CyclotomicField.get(360)
+    rng = random.Random(360)
+    num = [rng.choice([-1, 1]) * rng.randint(1, 15) for _ in range(96)]
+    x = field.element([Fraction(c, 7) for c in num])
+    inv = x.inverse()
+    assert_canonical(inv)
+    assert x * inv == field.one
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,17 +241,17 @@ def test_inverse_one_minus_root_property(r):
         assert field.inverse_one_minus_root(e + r) is x
 
 
-# all e at the smaller orders; a fixed sample at 120 and 360 (phi = 32
-# and 96), where each Euclid inverse is slow
-EUCLID_CASES = [
-    (r, e) for r in (2, 3, 4, 5, 6, 9, 12, 60) for e in range(1, r)
+# every e up to r = 120 (phi = 32); a fixed sample at 360 (phi = 96),
+# where each eliminated inverse takes tens of milliseconds
+INVERSE_CASES = [
+    (r, e) for r in (2, 3, 4, 5, 6, 9, 12, 60, 120) for e in range(1, r)
 ]
-EUCLID_CASES += [(120, e) for e in (1, 7, 40, 60, 119)]
-EUCLID_CASES += [(360, e) for e in (1, 77, 120, 180, 359)]
+INVERSE_CASES += [(360, e) for e in (1, 77, 120, 180, 359)]
 
 
-def test_inverse_one_minus_root_matches_euclid():
-    for r, e in EUCLID_CASES:
+def test_inverse_one_minus_root_matches_general_inverse():
+    # the root-of-unity identity against CyclotomicElement.inverse
+    for r, e in INVERSE_CASES:
         field = CyclotomicField.get(r)
         want = (field.one - field.root(e)).inverse()
         assert field.inverse_one_minus_root(e) == want, (r, e)

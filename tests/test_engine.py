@@ -812,7 +812,7 @@ def test_deep_k_needs_no_deep_stack():
     assert proc.stdout.split() == ["residual", "ok", "consumed", "ok"]
 
 
-def test_exact_hot_paths_need_no_euclid_inverse(monkeypatch):
+def test_exact_hot_paths_need_no_general_inverse(monkeypatch):
     # 1/(1 - mu^a) in the default and an explicit shift, and 1/(1 - mu_n)
     # in the closed route, come from CyclotomicField.inverse_one_minus_root
     X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
@@ -834,7 +834,7 @@ def test_exact_hot_paths_need_no_euclid_inverse(monkeypatch):
     assert want[0] == want[1] == want[2]
 
     def refuse(self):
-        raise AssertionError("Euclid inverse on an exact hot path")
+        raise AssertionError("general inverse on an exact hot path")
 
     monkeypatch.setattr(CyclotomicElement, "inverse", refuse)
     monkeypatch.setattr(

@@ -12,8 +12,9 @@ import math
 import pytest
 
 from twistzeta._rational import rat
-from twistzeta.cyclotomic import CyclotomicField
+from twistzeta.cyclotomic import CyclotomicField, _embed_fixed
 from twistzeta.errors import TwistIsOne
+from twistzeta.multipoly import SparsePolynomial
 from twistzeta.twists import (
     Twist,
     TwistVector,
@@ -39,8 +40,8 @@ def test_dual_derivations_agree():
 
 @pytest.mark.parametrize("r", [12, 60])
 def test_dual_derivations_agree_on_wide_fields(r):
-    # negapolylog divides by powers of 1 - mu built without Euclid; the
-    # Eulerian oracle still inverts 1 - mu by Euclid
+    # negapolylog divides by powers of 1 - mu from the root-of-unity
+    # identity; the Eulerian oracle inverts 1 - mu by the general inverse
     for e in range(1, r):
         mu = TwistVector.exact(r, [e]).single(1)
         for n in range(1, 7):
@@ -50,7 +51,7 @@ def test_dual_derivations_agree_on_wide_fields(r):
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 12, 60, 120])
 def test_root_sum_numerators_match_eulerian_oracle(r):
     # A_n(zeta^e) from CyclotomicField.root_sum, over the memoized power of
-    # 1/(1 - zeta^e), against the Eulerian oracle with its Euclid inverse;
+    # 1/(1 - zeta^e), against the Eulerian oracle with its general inverse;
     # every e, n <= 30, and n = 256 at r in {2, 3}
     field = CyclotomicField.get(r)
     ns = list(range(1, 31)) + ([256] if r in (2, 3) else [])
@@ -61,6 +62,27 @@ def test_root_sum_numerators_match_eulerian_oracle(r):
             num = field.root_sum(operator_numerator(n), e)
             assert num * field.inverse_one_minus_root(e, n + 1) == want
             assert negapolylog(n, mu) == want, (e, n)
+
+
+@pytest.mark.parametrize("r", [3, 7, 60, None])
+def test_eulerian_oracle_in_approx_mode(r):
+    # the oracle's double branch against approx negapolylog at every
+    # angle 2 pi e / r (and at 1.0 for r = None), and at the rational
+    # angles against the exact value's fixed-point embedding (embed()
+    # itself may keep up to 2^-26 of cancellation); each bound is
+    # relative to n! / |1 - mu|^(n+1), the size of the summed terms
+    angles = [2 * math.pi * e / r for e in range(1, r)] if r else [1.0]
+    for e, theta in enumerate(angles, start=1):
+        mu = Twist(mode="approx", angle=theta)
+        gap = abs(1 - cmath.exp(1j * theta))
+        for n in range(1, 13):
+            size = math.factorial(n) / gap ** (n + 1)
+            got = eulerian_negapolylog(n, mu)
+            assert abs(got - negapolylog(n, mu)) <= 1e-14 * size, (e, n)
+            if r:
+                v = negapolylog(n, Twist(mode="exact", order=r, exponent=e))
+                want = _embed_fixed(v.num, v.den, r)
+                assert abs(got - want) <= 1e-12 * size, (e, n)
 
 
 def test_alternating_values():
@@ -115,6 +137,30 @@ def test_mu_power():
     assert mu_power(mus, (1, 1)) == field.one
     assert mu_power(mus, (2, 1)) == field.root(1)
     assert mu_power(mus, (0, 0)) == field.one
+
+
+_X = SparsePolynomial.variable(1, 1)
+_EXACT = TwistVector.exact(5, [2])
+_APPROX = TwistVector.approx([2.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _X.shift((1.7,)),
+    lambda: _X.delta((1.7,)),
+    lambda: SparsePolynomial(1, {(1.5,): 1}),
+    lambda: TwistVector.exact(5, [1.7]),
+    lambda: mu_power(_EXACT, (1.5,)),
+    lambda: mu_power(_APPROX, (1.5,)),
+    lambda: _EXACT.power_exponent((1.5,)),
+    lambda: monomial_sum((1.5,), _EXACT),
+    lambda: monomial_sum((rat(3, 2),), _APPROX),
+], ids=["shift", "delta", "exponent", "twist_exponent", "mu_power_exact",
+        "mu_power_approx", "power_exponent", "monomial_sum_exact",
+        "monomial_sum_approx"])
+def test_non_integral_exponents_and_shifts_are_refused(call):
+    # truncating 1.7 to 1 would answer for another exponent or shift
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 60, 360])
