@@ -37,6 +37,18 @@ step.  mu^-a times a prefactor or a point's mu^b is a root of unity
 over 1, formed once per context.  Approx mode forms each product and sum
 of the step in turn, in a fixed order, so its doubles do not depend on
 how the exact path is arranged.
+
+With one factor whose difference Delta_a P is a nonzero constant p/q
+(every linear factor, and a structured quadratic along a shift
+orthogonal to its squares), the u-sum of N is sum_beta n_beta
+sum_{u<k} C(k,u) (p/q)^(k-u) V(beta, u) over the monomials n_beta
+X^beta of N(X+a): for each beta, a binomial transform of one column
+of the value table.  In exact mode such a context keeps each column's
+numerators and denominators beside V and sums the first k entries in
+one CyclotomicField._dot, against the weights C(k,u) p^(k-u) q^u over
+q^k built once per step; no product N(X+a) G(v) is formed.  Every other
+context, and approx mode, sums the u-sum term by term: approx mode
+keeps its one order of rounded sums, which the column sum would change.
 """
 
 from __future__ import annotations
@@ -318,7 +330,10 @@ class _Context:
     context also holds V[(alpha, k)], the values of monomial numerators,
     and steps, the step data of every numerator it has met, keyed by
     alpha for X^alpha and by the canonical text of an explicit top-level
-    Q.
+    Q.  In exact mode with one factor whose Delta_a P is a nonzero
+    constant p/q, ratio is (p, q) and columns maps each alpha to the
+    numerators and denominators of V(alpha, 0), V(alpha, 1), ..., in
+    order; otherwise both are None.
     """
 
     __slots__ = (
@@ -339,6 +354,8 @@ class _Context:
         "face_roots",
         "point_roots",
         "scale",
+        "columns",
+        "ratio",
         "_g",
     )
 
@@ -371,6 +388,16 @@ class _Context:
             self.inv1ma = 1.0 / (mus.one_scalar() - self.mu_a)
         self.zero = mus.zero_scalar()
         self.deltas = tuple(P.delta(a) for P in Ps)
+        # with G(v) = (p/q)^v each u-sum is a binomial transform of
+        # columns of V (_column_terms)
+        self.columns = None
+        self.ratio = None
+        if self.field is not None and self.T == 1:
+            (delta,) = self.deltas
+            if delta.nums and delta.is_constant:
+                c = delta.constant_value()
+                self.ratio = (c.numerator, c.denominator)
+                self.columns = {}
         self.V: dict = {}
         self.steps: dict = {}
         self.restricted = restricted
@@ -480,6 +507,25 @@ def _binomial_row(n: int) -> list[int]:
         c = c * (n - j + 1) // j
         row[j] = row[n - j] = c
     return row
+
+
+def _transform_weights(n: int, p: int, q: int) -> list[int]:
+    """[C(n, u) p^(n-u) q^u for u in 0..n-1]: the weights, over q^n, of
+    the binomial transform sum_{u<n} C(n,u) (p/q)^(n-u) V(beta, u),
+    scaled in place in _binomial_row's one list."""
+    w = _binomial_row(n)
+    w.pop()
+    if p != 1:
+        f = 1
+        for u in range(n - 1, -1, -1):
+            f *= p
+            w[u] *= f
+    if q != 1:
+        f = 1
+        for u in range(1, n):
+            f *= q
+            w[u] *= f
+    return w
 
 
 # (0,), (1,), ...: the u and v of every one-factor index table, shared
@@ -607,7 +653,10 @@ class ValueCache:
         a binomial.  With one factor the terms zip shared 1-tuples with
         the row C(k, 0..k); it holds O(k^2) bits, so it is built anew
         each step.  Tables of several factors are memoized per session,
-        up to _TABLE_MEMO_TERMS terms in all.
+        up to _TABLE_MEMO_TERMS terms in all.  An exact context with one
+        factor and a nonzero constant Delta_a P reads no table: its
+        u-sum is one column sum per monomial (_column_terms), the same
+        in both index forms.
         """
         if len(k) == 1:
             n = k[0]
@@ -659,10 +708,15 @@ class ValueCache:
         forms each product and sum in turn, in the order written here; a
         point adds mu^b times p nb / q, one correctly rounded division of
         integers, the double that float() gives that Fraction."""
-        prod = data.prod
-        groups = [(prod(ctx, v), u, w) for u, v, w in self._index_terms(k)]
-        groups.append((data.delta, k, None))
-        combined = yield from self._combine(inner, groups, parent)
+        if inner is ctx and ctx.columns is not None:
+            combined = yield from self._column_terms(ctx, data, k, parent)
+        else:
+            prod = data.prod
+            groups = [
+                (prod(ctx, v), u, w) for u, v, w in self._index_terms(k)
+            ]
+            groups.append((data.delta, k, None))
+            combined = yield from self._combine(inner, groups, parent)
         faces = zip(ctx.restricted, data.restricted)
         field = ctx.field
         if field is None:
@@ -709,6 +763,17 @@ class ValueCache:
                     return value
                 ctx, key, gen = pending.pop()
                 ctx.V[key] = value
+                columns = ctx.columns
+                if columns is not None:
+                    alpha, (u,) = key
+                    column = columns.get(alpha)
+                    if column is None:
+                        column = columns[alpha] = ([], [])
+                    # V(alpha, u) needed V(alpha, u - 1): columns fill
+                    # in order
+                    assert len(column[0]) == u, "V column out of order"
+                    column[0].append(value.num)
+                    column[1].append(value.den)
                 continue
             here = (ctx.N, sum(k), sum(alpha))
             assert parent is None or here < parent, (
@@ -760,6 +825,56 @@ class ValueCache:
                 value = yield from self._resolve(ctx, p, u, parent)
                 acc = acc + (value if w is None else value * w)
         return acc
+
+    def _column_terms(self, ctx: _Context, data: _Step, k, parent):
+        """The terms of _combine for a context with columns, where the
+        u-sum is sum_beta n_beta sum_{u<k} C(k,u) (p/q)^(k-u) V(beta, u)
+        over the monomials n_beta X^beta of N(X+a); a generator like
+        _step.
+
+        The weights C(k,u) p^(k-u) q^u over q^k are built once, in one
+        list, before anything is stepped.  Each beta then steps the
+        entries missing from its column, in order, and sums its first k
+        entries in one CyclotomicField._dot; that sum joins the values of
+        Delta_a N at k with weight n_beta, over the least common
+        denominator lcd.  The descent check runs on the Delta_a N group:
+        every u-sum entry has |u| < |k|."""
+        delta = data.delta
+        if __debug__ and parent is not None:
+            _check_descent(ctx.N, [(delta, k, None)], parent)
+        (n,) = k
+        nums = []
+        dens = []
+        weights = []
+        lcd = delta.den
+        if n:
+            p, q = ctx.ratio
+            w = _transform_weights(n, p, q)
+            shifted = data.shifted
+            over = shifted.den * q**n
+            lcd = math.lcm(over, lcd)
+            scale = lcd // over
+            columns = ctx.columns
+            field = ctx.field
+            for beta, c in shifted.nums.items():
+                column = columns.get(beta)
+                for u in range(0 if column is None else len(column[0]), n):
+                    yield ctx, beta, (u,), parent
+                column_nums, column_dens = columns[beta]
+                num, den = field._dot(column_nums[:n], column_dens[:n], w)
+                nums.append(num)
+                dens.append(den)
+                weights.append(c * scale)
+        get = ctx.V.get
+        scale = lcd // delta.den
+        for alpha, c in delta.nums.items():
+            value = get((alpha, k))
+            if value is None:
+                value = yield ctx, alpha, k, parent
+            nums.append(value.num)
+            dens.append(value.den)
+            weights.append(c * scale)
+        return nums, dens, weights, lcd
 
     def _resolve(self, ctx: _Context, poly: SparsePolynomial, k, parent):
         """sum over the terms of poly of coef * V(alpha, k); a generator
@@ -859,8 +974,12 @@ def linear_special_value(
     Here Delta_a L_t = L_t(a) is a constant, so resolving Q in the
     context of the shift a holds that shift at every level, and the
     u-sum collapses to scalar weights against the same numerator at
-    smaller k: the scalar recursion of the linear case.  Boundary faces
-    go through the default engine.
+    smaller k: the scalar recursion of the linear case.  With one
+    factor in exact mode that recursion is a column sum: the context's
+    values of 1 at u = 0..k-1, kept as a column, against the weights
+    C(k,u) L(a)^(k-u), in one dot product; approx mode and several
+    factors sum term by term.  Boundary faces go through the default
+    engine.
     """
     k = _as_k(inst, k)
     if not (inst.Q.is_constant and inst.Q.constant_value() == ONE):
@@ -963,7 +1082,8 @@ def quadratic_special_value(
 
     quadratic_delta checks the orthogonality; then every Delta_a P_t is
     a constant and Q = 1 resolves in the context of the shift a, as in
-    linear_special_value."""
+    linear_special_value, on the column sum there when T = 1 in exact
+    mode."""
     expanded = tuple(P.expand() for P in Ps)
     inst = ZetaInstance(
         SparsePolynomial.one(len(mus)), expanded, mus

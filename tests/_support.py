@@ -58,6 +58,20 @@ def random_polynomial(rng, N, maxdeg=2, maxterms=4):
     )
 
 
+def random_linear_form(rng, N):
+    """sum_n c_n X_n + d with every c_n > 0 and d >= 0, coefficients from
+    the pinned p/q range, d zero half the time."""
+    terms = {
+        tuple(int(i == n) for i in range(N)): rat(
+            rng.randint(1, 5), rng.randint(1, 3)
+        )
+        for n in range(N)
+    }
+    if rng.random() < 0.5:
+        terms[(0,) * N] = rat(rng.randint(1, 5), rng.randint(1, 3))
+    return SparsePolynomial(N, terms)
+
+
 def random_twists(rng, N, orders=(2, 3, 4, 6)):
     r = rng.choice(orders)
     return TwistVector.exact(r, [rng.randint(1, r - 1) for _ in range(N)])

@@ -14,9 +14,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistzeta import (
     PointTerm,
@@ -33,7 +36,7 @@ from twistzeta import (
     quadratic_special_value,
     special_value,
 )
-from twistzeta import _kernels_py
+from twistzeta import _kernels_py, engine
 from twistzeta._rational import rat
 from twistzeta.closedform import closed_value
 from twistzeta.cyclotomic import CyclotomicElement, CyclotomicField
@@ -54,6 +57,9 @@ from _support import (
     ks_up_to,
     oracle_corpus,
     random_instance,
+    random_linear_form,
+    random_polynomial,
+    random_twists,
     random_valid_shift,
     term_value,
 )
@@ -1035,3 +1041,188 @@ def test_closed_route_keeps_its_approx_doubles_when_products_pack(
     want = closed_value(one, (P,), (14,), mus)
     assert not any(packed)
     assert bits(got) == bits(want)
+
+
+# column u-sum ----------------------------------------------------------
+
+
+def _general_path(monkeypatch):
+    """Contexts built from here on sum every u-sum term by term, through
+    _combine, as contexts without a constant Delta_a P do."""
+    init = engine._Context.__init__
+
+    def without_columns(self, *args):
+        init(self, *args)
+        self.columns = None
+        self.ratio = None
+
+    monkeypatch.setattr(engine._Context, "__init__", without_columns)
+
+
+def _check_columns(session):
+    """Every context with columns holds each V entry in its column, in
+    order, and nothing else; returns the contexts that have columns."""
+    with_columns = []
+    for ctx in {id(c): c for c in session._contexts.values()}.values():
+        if ctx.columns is None:
+            continue
+        with_columns.append(ctx)
+        held = 0
+        for alpha, (nums, dens) in ctx.columns.items():
+            assert len(nums) == len(dens)
+            for u, (num, den) in enumerate(zip(nums, dens)):
+                value = ctx.V[(alpha, (u,))]
+                assert (value.num, value.den) == (tuple(num), den)
+            held += len(nums)
+        assert held == len(ctx.V)
+    return with_columns
+
+
+def _linear_fast_path_applies(inst):
+    """Q = 1 and P a linear form, without a constant term."""
+    (P,) = inst.Ps
+    return (inst.Q == SparsePolynomial.one(inst.nvars)
+            and all(sum(e) == 1 for e in P.nums))
+
+
+def _column_cases():
+    X = SparsePolynomial.variable(1, 1)
+    X1, X2 = (SparsePolynomial.variable(2, n) for n in (1, 2))
+    Y1, Y2, Y3 = (SparsePolynomial.variable(3, n) for n in (1, 2, 3))
+    one1, one2, one3 = (SparsePolynomial.one(n) for n in (1, 2, 3))
+    upto64 = range(65)
+    return [
+        # (Q, P, mus, ks, explicit shifts)
+        pytest.param(one1, 3 * X + 2, TwistVector.exact(2, [1]), upto64,
+                     [(3,)], id="3X+2-r2"),
+        pytest.param(one1, 3 * X + 2, TwistVector.exact(3, [1]), [200],
+                     [], id="3X+2-r3-k200"),
+        pytest.param(one1, X * rat(3, 7) + rat(2, 5),
+                     TwistVector.exact(7, [2]), upto64, [(2,)],
+                     id="3/7X+2/5-r7"),
+        pytest.param(X * X + 1, 2 * X + 1, TwistVector.exact(60, [7]),
+                     upto64, [(2,)], id="X^2+1-over-2X+1-r60"),
+        pytest.param(one2, X1 + 2 * X2 + 1, TwistVector.exact(7, [1, 3]),
+                     upto64, [(2, 1), "all-ones"], id="N2-r7"),
+        pytest.param(X1 * X1 * X2 + 3, X1 * rat(1, 2) + X2,
+                     TwistVector.exact(60, [11, 7]), range(25),
+                     [(1, 2)], id="N2-numerator-r60"),
+        pytest.param(one3, Y1 + Y2 + 2 * Y3 + 1,
+                     TwistVector.exact(3, [1, 2, 1]), range(17),
+                     [(1, 1, 1), (2, 1, 1)], id="N3-r3"),
+        pytest.param(Y2 + 1, Y1 * rat(5, 3) + Y2 + Y3,
+                     TwistVector.exact(2, [1, 1, 1]), range(13),
+                     [(1, 1, 1), (1, 2, 0)], id="N3-numerator-r2"),
+    ]
+
+
+@pytest.mark.parametrize("index_form", ["residual", "consumed"])
+@pytest.mark.parametrize("Q, P, mus, ks, shifts", _column_cases())
+def test_column_path_equals_general_path(monkeypatch, index_form, Q, P, mus,
+                                         ks, shifts):
+    # the same queries in a session whose constant-difference contexts
+    # keep columns and in one whose contexts all sum term by term: every
+    # value and every V entry must agree, and equal the closed form
+    inst = ZetaInstance(Q, (P,), mus)
+    linear = _linear_fast_path_applies(inst)
+
+    def queries(session):
+        values = []
+        for k in ks:
+            values.append(special_value(inst, (k,), cache=session))
+            for a in shifts:
+                values.append(
+                    special_value(inst, (k,), shift=a, cache=session))
+                if linear:
+                    values.append(
+                        linear_special_value(inst, (k,), a, cache=session))
+        return values
+
+    column = ValueCache(index_form)
+    got = queries(column)
+    assert _check_columns(column)
+    _general_path(monkeypatch)
+    general = ValueCache(index_form)
+    assert queries(general) == got
+    assert not _check_columns(general)
+    assert ({key: ctx.V for key, ctx in general._contexts.items()}
+            == {key: ctx.V for key, ctx in column._contexts.items()})
+    per_k = len(got) // len(ks)
+    for i, k in enumerate(ks):
+        want = closed_value(inst.Q, inst.Ps, (k,), mus)
+        assert got[i * per_k:(i + 1) * per_k] == [want] * per_k, k
+
+
+@pytest.mark.parametrize("index_form", ["residual", "consumed"])
+def test_quadratic_along_an_orthogonal_shift_takes_the_column_path(
+        monkeypatch, index_form):
+    quad = StructuredQuadratic(squares=((1, -1),), linear=(1, 2),
+                               constant=1)
+    mus = TwistVector.exact(4, [1, 1])
+    inst = ZetaInstance(SparsePolynomial.one(2), (quad.expand(),), mus)
+    ks = range(25)
+
+    def queries(session):
+        return [quadratic_special_value((quad,), mus, (k,), (1, 1),
+                                        cache=session) for k in ks]
+
+    column = ValueCache(index_form)
+    got = queries(column)
+    # Delta_(1,1) is 3; the default shift's difference is not a constant
+    (ctx,) = _check_columns(column)
+    assert ctx.a == (1, 1) and ctx.ratio == (3, 1)
+    _general_path(monkeypatch)
+    general = ValueCache(index_form)
+    assert queries(general) == got
+    assert ({key: ctx.V for key, ctx in general._contexts.items()}
+            == {key: ctx.V for key, ctx in column._contexts.items()})
+    assert got == [closed_value(inst.Q, inst.Ps, (k,), mus) for k in ks]
+
+
+def test_a_factor_free_of_x1_builds_no_columns(monkeypatch):
+    # Delta_e1 P = 0: the u-sum is empty, so the default context keeps no
+    # columns and no V entry beyond what the general path stores
+    X1, X2 = (SparsePolynomial.variable(2, n) for n in (1, 2))
+    inst = ZetaInstance(X1 + X2, (X2 * 2 + 1,), TwistVector.exact(7, [3, 5]))
+    ks = range(17)
+    column = ValueCache()
+    got = [special_value(inst, (k,), cache=column) for k in ks]
+    ctx = column.context(inst.Ps, inst.mus)
+    assert ctx.columns is None and ctx.ratio is None
+    # the face X1 = 1 is a series in X2 alone, with difference 2
+    assert _check_columns(column)
+    _general_path(monkeypatch)
+    general = ValueCache()
+    assert [special_value(inst, (k,), cache=general) for k in ks] == got
+    assert general.context(inst.Ps, inst.mus).V == ctx.V
+    assert got == [closed_value(inst.Q, inst.Ps, (k,), inst.mus) for k in ks]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("p, q", [(1, 1), (3, 1), (-2, 1), (3, 7), (1, 4)])
+def test_transform_weights_are_the_scaled_binomial_row(n, p, q):
+    assert engine._transform_weights(n, p, q) == [
+        math.comb(n, u) * p ** (n - u) * q ** u for u in range(n)
+    ]
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=10))
+@given(st.integers(1, 3), st.integers(0, 12), st.integers(0, 10 ** 6))
+def test_linear_forms_keep_the_contract(N, k, seed):
+    # recurrence == closed, explicit shift == default, and the residual
+    # session on the column path == a consumed session on the general path
+    rng = random.Random(seed)
+    mus = random_twists(rng, N, orders=(7, 8, 9, 60))
+    Q = (SparsePolynomial.one(N) if rng.random() < 0.5
+         else random_polynomial(rng, N))
+    inst = ZetaInstance(Q, (random_linear_form(rng, N),), mus)
+    a = random_valid_shift(rng, mus)
+    value = special_value(inst, (k,), cache=ValueCache("residual"))
+    assert value == closed_value(inst.Q, inst.Ps, (k,), mus)
+    assert special_value(inst, (k,), shift=a) == value
+    if _linear_fast_path_applies(inst):
+        assert linear_special_value(inst, (k,), a) == value
+    with pytest.MonkeyPatch.context() as patch:
+        _general_path(patch)
+        consumed = ValueCache("consumed")
+        assert special_value(inst, (k,), cache=consumed) == value
