@@ -460,6 +460,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TwistZetaError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 4
+    except (OverflowError, MemoryError) as exc:
+        # a k past the index range, or a table past the memory; a
+        # MemoryError usually carries no text
+        print(f"engine error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

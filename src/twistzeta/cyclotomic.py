@@ -408,25 +408,7 @@ class CyclotomicElement:
         if pq is None:
             return NotImplemented
         p, q = pq
-        if q == 1:
-            if p == 1:
-                return self
-            if not p:
-                return CyclotomicElement(field, (0,) * field.degree, 1)
-        # p/q and num/den are both in lowest terms, so only p against den
-        # and q against the numerators can cancel.
-        num, den = self.num, self.den
-        g = math.gcd(p, den)
-        if g != 1:
-            p //= g
-            den //= g
-        if q != 1:
-            g = math.gcd(q, *num)
-            if g != 1:
-                q //= g
-                num = [c // g for c in num]
-            den *= q
-        return CyclotomicElement(field, tuple([c * p for c in num]), den)
+        return _reduced(field, [c * p for c in self.num], self.den * q)
 
     __rmul__ = __mul__
 

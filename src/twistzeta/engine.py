@@ -29,14 +29,15 @@ single face m_1 = 1.
 
 In exact mode one step of the relation is one integer sum and one
 normalization, from Z(Q; -k) = mu^a/(1 - mu^a) (u-sum + Delta_a part +
-mu^-a Z_boundary): CyclotomicField._dot adds the monomial values of the
-u-sum, each face's value times mu^-a times its prefactor and each point
-term, one dot product per coordinate over the least common denominator
-of the terms; one field product by mu^a/(1 - mu^a) and one gcd end the
-step.  mu^-a times a prefactor or a point's mu^b is a root of unity
-over 1, formed once per context.  Approx mode forms each product and sum
-of the step in turn, in a fixed order, so its doubles do not depend on
-how the exact path is arranged.
+mu^-a Z_boundary).  Every term, a monomial value of the u-sum or of
+Delta_a N, a face's value times mu^-a times its prefactor, or a point
+term, goes to CyclotomicField._dot as its numerators over its own
+denominator with an int weight; _dot alone forms the common
+denominator.  One field product by mu^a/(1 - mu^a) and one
+cyclotomic._reduced end the step.  mu^-a times a prefactor or a point's
+mu^b is a root of unity over 1, formed once per context.  Approx mode
+forms each product and sum of the step in turn, in a fixed order, so
+its doubles do not depend on how the exact path is arranged.
 
 With one factor whose difference Delta_a P is a nonzero constant p/q
 (every linear factor, and a structured quadratic along a shift
@@ -344,7 +345,6 @@ class _Context:
         "mu_a",
         "inv1ma",
         "field",
-        "zero",
         "deltas",
         "V",
         "steps",
@@ -386,7 +386,6 @@ class _Context:
         else:
             self.field = None
             self.inv1ma = 1.0 / (mus.one_scalar() - self.mu_a)
-        self.zero = mus.zero_scalar()
         self.deltas = tuple(P.delta(a) for P in Ps)
         # with G(v) = (p/q)^v each u-sum is a binomial transform of
         # columns of V (_column_terms)
@@ -528,17 +527,6 @@ def _transform_weights(n: int, p: int, q: int) -> list[int]:
     return w
 
 
-# (0,), (1,), ...: the u and v of every one-factor index table, shared
-_UNIT_TUPLES = [(0,)]
-
-
-def _unit_tuples(n: int) -> list:
-    """A list that starts (0,), (1,), ..., (n,), grown on demand."""
-    units = _UNIT_TUPLES
-    units.extend((j,) for j in range(len(units), n + 1))
-    return units
-
-
 def _check_descent(N: int, groups: list, parent) -> None:
     """Assert (N, |u|, deg p) < parent for every group (p, u, w) with p
     nonzero; the degree is computed only when (N, |u|) ties with the
@@ -642,29 +630,22 @@ class ValueCache:
     # recursion ------------------------------------------------------
 
     def _index_terms(self, k: tuple[int, ...]):
-        """An iterable of (u, v, weight) with u + v = k, u != k, and the
+        """The list of (u, v, weight) with u + v = k, u != k, and the
         multinomial weight prod_t C(k_t, u_t) = prod_t C(k_t, v_t).
 
         The residual convention enumerates u in lexicographic order, the
         consumed convention v; both cover the same terms, and approx mode
         sums them in this order.  v = k - u runs through the reversed
         ranges in step with u, and each weight is a product of entries of
-        the rows C(k_t, 0..k_t), built once per step, so no term computes
-        a binomial.  With one factor the terms zip shared 1-tuples with
-        the row C(k, 0..k); it holds O(k^2) bits, so it is built anew
-        each step.  Tables of several factors are memoized per session,
-        up to _TABLE_MEMO_TERMS terms in all.  An exact context with one
-        factor and a nonzero constant Delta_a P reads no table: its
-        u-sum is one column sum per monomial (_column_terms), the same
-        in both index forms.
+        the rows C(k_t, 0..k_t), built once per table, so no term
+        computes a binomial.  Tables are memoized per session, for any
+        number of factors, up to _TABLE_MEMO_TERMS terms in all, and
+        built anew each step beyond that.  The weights are plain ints:
+        the step's one CyclotomicField._dot takes them as they are.  An
+        exact context with one factor and a nonzero constant Delta_a P
+        reads no table: its u-sum is one column sum per monomial
+        (_column_terms), the same in both index forms.
         """
-        if len(k) == 1:
-            n = k[0]
-            units = _unit_tuples(n)
-            row = _binomial_row(n)
-            if self.index_form == "residual":
-                return zip(units[:n], reversed(units[1 : n + 1]), row)
-            return zip(reversed(units[:n]), units[1 : n + 1], row[1:])
         table = self._tables.get(k)
         if table is not None:
             return table
@@ -697,14 +678,14 @@ class ValueCache:
         generator: it yields (ctx, alpha, k, parent) for every V entry it
         misses and returns the value (see _run).
 
-        Exact mode adds every term in one CyclotomicField._dot, over the
-        least common denominator lcd of the u-sum's polynomials: the
-        u-sum's values with their weights, each face's value times its
-        root mu^-a prefactor (one field product on numerators) with
-        weight lcd, and each point's root mu^(b-a) with weight
-        p nb.numerator lcd over q nb.denominator.  One product by
-        mu^a/(1 - mu^a) and one normalization end the step; the signs of
-        the faces ride on their prefactors and point terms.  Approx mode
+        Exact mode adds every term in one CyclotomicField._dot, each
+        over its own denominator: the terms of the u-sum and Delta_a N
+        (_combine or _column_terms), each face's value times its root
+        mu^-a prefactor (one field product on numerators) with weight 1,
+        and each point's root mu^(b-a) with weight p nb.numerator over
+        q nb.denominator.  One product by mu^a/(1 - mu^a) and one
+        cyclotomic._reduced end the step; the signs of the faces ride on
+        their prefactors and point terms.  Approx mode
         forms each product and sum in turn, in the order written here; a
         point adds mu^b times p nb / q, one correctly rounded division of
         integers, the double that float() gives that Fraction."""
@@ -730,22 +711,23 @@ class ValueCache:
                 total = total + point.mu_b * ratio
             return ctx.inv1ma * total
         taps = field.taps
-        nums, dens, weights, lcd = combined
+        nums, dens, weights = combined
         for ((_, sub_ctx), poly), root in zip(faces, ctx.face_roots):
             sval = yield from self._resolve(sub_ctx, poly, k, parent)
             nums.append(kernels.cyclo_mul(root, sval.num, taps))
             dens.append(sval.den)
-            weights.append(lcd)
+            weights.append(1)
         points = zip(ctx.points, data.at_points, ctx.point_roots)
         for point, nb, root in points:
             if nb:
                 p, q = point.power(k)
                 nums.append(root)
                 dens.append(q * nb.denominator)
-                weights.append(p * nb.numerator * lcd)
+                weights.append(p * nb.numerator)
         num, den = field._dot(nums, dens, weights)
-        num = kernels.cyclo_mul(ctx.scale.num, num, taps)
-        return _reduced(field, num, den * lcd * ctx.scale.den)
+        scale = ctx.scale
+        num = kernels.cyclo_mul(scale.num, num, taps)
+        return _reduced(field, num, den * scale.den)
 
     def _run(self, gen) -> Scalar:
         """Drive the step generator gen to its value on one explicit
@@ -789,37 +771,32 @@ class ValueCache:
 
         Every group is checked once against the recursion metric: (N,
         |u|, deg polynomial) < parent, so a cached V entry cannot hide a
-        step that fails to descend.  Exact mode then fuses every group
-        into one integer weight per V value over the least common
-        denominator lcd of the polynomials, reading the V table directly
-        and stepping only on a miss, and returns the terms for _step's
-        CyclotomicField._dot: (numerators, denominators, weights, lcd),
-        the sum being the dot product over lcd; approx mode keeps one
-        combination per group, scaled by w and summed in order."""
+        step that fails to descend.  Exact mode then reads the V table
+        directly, stepping only on a miss, and returns the terms for
+        _step's CyclotomicField._dot as (numerators, denominators,
+        weights): each V value of a monomial c X^alpha of a group enters
+        over its own denominator times the polynomial's, with the int
+        weight c w; approx mode keeps one combination per group, scaled
+        by w and summed in order."""
         if __debug__ and parent is not None:
             _check_descent(ctx.N, groups, parent)
         if ctx.field is not None:
-            # zero polynomials are stored over 1
-            lcd = math.lcm(*{p.den for p, u, w in groups})
             get = ctx.V.get
-            values = []
+            nums = []
+            dens = []
             weights = []
-            add_value = values.append
-            add_weight = weights.append
             for p, u, w in groups:
                 if w is None:
-                    w = lcd // p.den
-                elif lcd != 1:
-                    w *= lcd // p.den
+                    w = 1
                 for alpha, c in p.nums.items():
                     value = get((alpha, u))
                     if value is None:
                         value = yield ctx, alpha, u, parent
-                    add_value(value)
-                    add_weight(c * w)
-            nums = [x.num for x in values]
-            return nums, [x.den for x in values], weights, lcd
-        acc = ctx.zero
+                    nums.append(value.num)
+                    dens.append(value.den * p.den)
+                    weights.append(c * w)
+            return nums, dens, weights
+        acc = 0j
         for p, u, w in groups:
             if p.nums:
                 value = yield from self._resolve(ctx, p, u, parent)
@@ -835,10 +812,12 @@ class ValueCache:
         The weights C(k,u) p^(k-u) q^u over q^k are built once, in one
         list, before anything is stepped.  Each beta then steps the
         entries missing from its column, in order, and sums its first k
-        entries in one CyclotomicField._dot; that sum joins the values of
-        Delta_a N at k with weight n_beta, over the least common
-        denominator lcd.  The descent check runs on the Delta_a N group:
-        every u-sum entry has |u| < |k|."""
+        entries in one CyclotomicField._dot.  The terms come back as in
+        _combine: each column sum (num, den) over den q^k times the
+        denominator of N(X+a), with weight n_beta, and each value of a
+        monomial c X^alpha of Delta_a N at k over its own denominator
+        times that of Delta_a N, with weight c.  The descent check runs
+        on the Delta_a N group: every u-sum entry has |u| < |k|."""
         delta = data.delta
         if __debug__ and parent is not None:
             _check_descent(ctx.N, [(delta, k, None)], parent)
@@ -846,14 +825,11 @@ class ValueCache:
         nums = []
         dens = []
         weights = []
-        lcd = delta.den
         if n:
             p, q = ctx.ratio
             w = _transform_weights(n, p, q)
             shifted = data.shifted
             over = shifted.den * q**n
-            lcd = math.lcm(over, lcd)
-            scale = lcd // over
             columns = ctx.columns
             field = ctx.field
             for beta, c in shifted.nums.items():
@@ -863,18 +839,17 @@ class ValueCache:
                 column_nums, column_dens = columns[beta]
                 num, den = field._dot(column_nums[:n], column_dens[:n], w)
                 nums.append(num)
-                dens.append(den)
-                weights.append(c * scale)
+                dens.append(den * over)
+                weights.append(c)
         get = ctx.V.get
-        scale = lcd // delta.den
         for alpha, c in delta.nums.items():
             value = get((alpha, k))
             if value is None:
                 value = yield ctx, alpha, k, parent
             nums.append(value.num)
-            dens.append(value.den)
-            weights.append(c * scale)
-        return nums, dens, weights, lcd
+            dens.append(value.den * delta.den)
+            weights.append(c)
+        return nums, dens, weights
 
     def _resolve(self, ctx: _Context, poly: SparsePolynomial, k, parent):
         """sum over the terms of poly of coef * V(alpha, k); a generator

@@ -192,16 +192,16 @@ class TwistVector:
         """sum of s * c / den over (Scalar, exact rational) pairs.
 
         Exact mode is one CyclotomicField._dot, a weight p/q entering as
-        the int p over the element's denominator times q, and one
-        normalization; approx mode scales term by term in pair order, the
-        same doubles as a loop of scale() and + starting from zero."""
+        the int p over the element's denominator times q den, and one
+        normalization; approx mode scales term by term in pair order by
+        the double of c / den, starting from zero."""
         if self.mode == "exact":
             order = self.order
             nums, dens, weights = [], [], []
             for x, c in pairs:
                 if x.field.order != order:
                     raise FieldMismatch(f"orders {order} and {x.field.order}")
-                d = x.den
+                d = x.den * den
                 if type(c) is not int:
                     pq = _ratio(c)
                     if pq is None:
@@ -215,15 +215,10 @@ class TwistVector:
                 dens.append(d)
                 weights.append(c)
             field = CyclotomicField.get(order)
-            num, d = field._dot(nums, dens, weights)
-            return _reduced(field, num, d * den)
+            return _reduced(field, *field._dot(nums, dens, weights))
         acc = 0j
-        if den == 1:
-            for s, c in pairs:
-                acc = acc + s * float(c)
-        else:
-            for s, c in pairs:
-                acc = acc + s * float(c / den)
+        for s, c in pairs:
+            acc = acc + s * float(c / den)
         return acc
 
     @staticmethod

@@ -681,6 +681,22 @@ def test_value_at_large_k_exits_cleanly(tmp_path):
             proc.wait()
 
 
+@pytest.mark.parametrize("argv", [
+    ("value", LINEAR, "99999999999999999999"),
+    ("table", LINEAR, "--max", "99999999999999999999"),
+    ("verify", LINEAR, "--max", "99999999999999999999"),
+])
+def test_an_unindexable_k_is_an_engine_error(capsys, argv):
+    # a k past the index range raises OverflowError at once, before any
+    # list is allocated; main reports it rather than raising
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 4
+    assert err.startswith("engine error: ")
+    assert "Traceback" not in err
+    if argv[0] == "value":
+        assert out == ""
+
+
 def test_both_methods_stop_when_the_recurrence_has_no_double_form(
         tmp_path, capsys, monkeypatch):
     # 3X + 2 at r = 3, k = 170 exceeds the double range: the closed route

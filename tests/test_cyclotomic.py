@@ -382,7 +382,9 @@ def operands(draw, field, den):
        st.sampled_from(_DENS), st.data())
 def test_sums_are_canonical_coordinatewise_fraction_sums(r, dx, dy, data):
     # zero operands and equal, coprime and shared-factor denominators,
-    # element + element and exact scalar +- element
+    # element + element, exact scalar +- element and element times exact
+    # scalar, where c's numerator may cancel against x's denominator and
+    # its denominator against x's numerators
     field = CyclotomicField.get(r)
     x = data.draw(operands(field, dx))
     y = data.draw(operands(field, dy))
@@ -396,6 +398,10 @@ def test_sums_are_canonical_coordinatewise_fraction_sums(r, dx, dy, data):
         (x - y, [a - b for a, b in zip(x.coords, y.coords)]),
         (c + x, [a + b for a, b in zip(lifted, x.coords)]),
         (c - x, [a - b for a, b in zip(lifted, x.coords)]),
+        (x * c, [a * c for a in x.coords]),
+        (c * x, [c * a for a in x.coords]),
+        # every numerator a multiple of 6, against c's denominator
+        (x * 6 * c, [a * 6 * c for a in x.coords]),
     ):
         assert_canonical(got)
         assert list(got.coords) == want

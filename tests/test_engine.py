@@ -39,7 +39,11 @@ from twistzeta import (
 from twistzeta import _kernels_py, engine
 from twistzeta._rational import rat
 from twistzeta.closedform import closed_value
-from twistzeta.cyclotomic import CyclotomicElement, CyclotomicField
+from twistzeta.cyclotomic import (
+    CyclotomicElement,
+    CyclotomicField,
+    _embed_fixed,
+)
 from twistzeta.errors import (
     ApproxIllConditioned,
     DependencyConditionViolated,
@@ -880,8 +884,8 @@ def test_index_terms_match_binomial_reference(index_form, k):
         assert got == want
         assert all(type(w) is int for _, _, w in got)
     if len(k) == 1:
-        # one factor zips shared 1-tuples, by now held up to k: every
-        # smaller k slices them
+        # every smaller one-factor k, in the session whose memo already
+        # holds the table of k
         for n in range(k[0]):
             got = list(session._index_terms((n,)))
             assert got == list(_reference_index_terms(index_form, (n,)))
@@ -1226,3 +1230,51 @@ def test_linear_forms_keep_the_contract(N, k, seed):
         _general_path(patch)
         consumed = ValueCache("consumed")
         assert special_value(inst, (k,), cache=consumed) == value
+
+
+def _accepted_shifts(mus, bound=3):
+    """Every shift with entries in 0..bound, not all zero, that
+    choose_shift accepts."""
+    shifts = []
+    for a in itertools.product(range(bound + 1), repeat=len(mus)):
+        if any(a):
+            try:
+                choose_shift(mus, a)
+            except MuPowerIsOne:
+                continue
+            shifts.append(a)
+    return shifts
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=10))
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3),
+       st.sampled_from([7, 8, 9, 60]), st.integers(0, 10 ** 6), st.data())
+def test_random_series_keep_the_contract(N, T, degree, r, seed, data):
+    # recurrence == closed in both index forms, all-ones and an explicit
+    # shift == the default, and the approx recurrence == the decimals of
+    # the exact value; exponents with gcd(e, r) > 1 included
+    es = data.draw(st.lists(st.integers(1, r - 1), min_size=N, max_size=N))
+    mus = TwistVector.exact(r, es)
+    rng = random.Random(seed)
+    inst = ZetaInstance(
+        random_polynomial(rng, N, degree),
+        tuple(random_polynomial(rng, N, degree) for _ in range(T)),
+        mus,
+    )
+    k = data.draw(st.sampled_from(ks_up_to(T, 4)))
+    want = closed_value(inst.Q, inst.Ps, k, mus)
+    for index_form in ("residual", "consumed"):
+        assert special_value(inst, k, cache=ValueCache(index_form)) == want
+    try:
+        ones = special_value(inst, k, shift="all-ones")
+    except MuPowerIsOne:
+        assert mus.power_exponent((1,) * N) % r == 0
+    else:
+        assert ones == want
+    a = data.draw(st.sampled_from(_accepted_shifts(mus)))
+    assert special_value(inst, k, shift=a) == want
+    approx = special_value(
+        ZetaInstance(inst.Q, inst.Ps, mus.to_approx()), k
+    )
+    exact = _embed_fixed(want.num, want.den, r)
+    assert abs(approx - exact) <= 1e-8 * (1 + abs(exact))
