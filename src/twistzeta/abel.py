@@ -83,25 +83,38 @@ def abel_estimate(
     finite M sums the box [1, M]^N directly.
     """
     E = expand_numerator(inst.Q, inst.Ps, _as_k(inst, k))
-    return _abel_sum(E, _embedded_twists(inst), x, M)
+    return _abel_sum(*_abel_terms(E), _embedded_twists(inst), x, M)
 
 
-def _abel_sum(
-    E: SparsePolynomial, twists: list[complex], x: float, M: int | None
-) -> complex:
-    """sum over the lattice of (x mu)^m E(m); abel_estimate's body, shared
-    with abel_richardson so that E is expanded once for every radius."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie strictly between 0 and 1")
-    if E.is_zero:
-        return 0j
-    ws = [x * mu for mu in twists]
-    N = E.nvars
-    maxdeg = [0] * N
+def _abel_terms(E: SparsePolynomial) -> tuple[list, int, list[int]]:
+    """What _abel_sum reads of E: its terms in graded order, its
+    denominator and its degree in each variable, found once for every
+    radius."""
+    maxdeg = [0] * E.nvars
     for alpha in E.nums:
         for n, e in enumerate(alpha):
             if e > maxdeg[n]:
                 maxdeg[n] = e
+    return graded_terms(E.nums), E.den, maxdeg
+
+
+def _abel_sum(
+    terms: list,
+    den: int,
+    maxdeg: list[int],
+    twists: list[complex],
+    x: float,
+    M: int | None,
+) -> complex:
+    """sum over the lattice of (x mu)^m E(m) for E given by _abel_terms;
+    abel_estimate's body, shared with abel_richardson so that E is
+    expanded and sorted once for every radius."""
+    if not 0.0 < x < 1.0:
+        raise ValueError("x must lie strictly between 0 and 1")
+    if not terms:
+        return 0j
+    ws = [x * mu for mu in twists]
+    N = len(maxdeg)
     tables = []
     for n in range(N):
         w = ws[n]
@@ -114,8 +127,7 @@ def _abel_sum(
                 kernels.power_sums_box(w.real, w.imag, M, maxdeg[n])
             )
     acc = 0j
-    den = E.den
-    for alpha, c in graded_terms(E.nums):
+    for alpha, c in terms:
         # int / int is correctly rounded: the double of the coefficient
         term = complex(c / den, 0.0)
         for n, e in enumerate(alpha):
@@ -170,9 +182,9 @@ def abel_richardson(
 ) -> complex:
     """Richardson-extrapolated Abel estimate over x = 1 - 2^-j, each j
     raised by the same offset for twists near 1 (see _radius_offset)."""
-    E = expand_numerator(inst.Q, inst.Ps, _as_k(inst, k))
+    E = _abel_terms(expand_numerator(inst.Q, inst.Ps, _as_k(inst, k)))
     twists = _embedded_twists(inst)
     offset = _radius_offset(twists, max(js, default=0))
     return richardson(
-        [_abel_sum(E, twists, 1.0 - 2.0 ** -(j + offset), M) for j in js]
+        [_abel_sum(*E, twists, 1.0 - 2.0 ** -(j + offset), M) for j in js]
     )

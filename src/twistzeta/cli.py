@@ -27,7 +27,13 @@ from .closedform import closed_value
 from .conditions import validate_conditions
 from .cyclotomic import CyclotomicElement, CyclotomicField
 from .document import ProblemDocument, ValueRecord, _pair_text
-from .engine import ValueCache, ZetaInstance, choose_shift, special_value
+from .engine import (
+    ValueCache,
+    ZetaInstance,
+    _check_indexable,
+    choose_shift,
+    special_value,
+)
 from .errors import (
     DocumentError,
     MuPowerIsOne,
@@ -74,6 +80,7 @@ def _parse_k(text: str, nfactors: int) -> tuple[int, ...]:
         raise DocumentError(
             f"k must be {nfactors} comma-separated naturals"
         )
+    _check_indexable(k)
     return k
 
 
@@ -95,6 +102,7 @@ def _parse_shift(text: Optional[str], nvars: int):
 
 
 def _box(max_k: Sequence[int]):
+    _check_indexable(max_k)
     return itertools.product(*[range(x + 1) for x in max_k])
 
 
@@ -239,6 +247,9 @@ def _query_ks(args, doc: ProblemDocument, nfactors: int) -> list:
     if args.k is not None:
         return [_parse_k(args.k, nfactors)]
     if doc.queries:
+        for k in doc.queries:
+            # --method closed would expand P^k before any engine check
+            _check_indexable(k)
         return list(doc.queries)
     raise DocumentError("no k given and the document lists no queries")
 

@@ -29,15 +29,19 @@ single face m_1 = 1.
 
 In exact mode one step of the relation is one integer sum and one
 normalization, from Z(Q; -k) = mu^a/(1 - mu^a) (u-sum + Delta_a part +
-mu^-a Z_boundary).  Every term, a monomial value of the u-sum or of
-Delta_a N, a face's value times mu^-a times its prefactor, or a point
-term, goes to CyclotomicField._dot as its numerators over its own
-denominator with an int weight; _dot alone forms the common
-denominator.  One field product by mu^a/(1 - mu^a) and one
-cyclotomic._reduced end the step.  mu^-a times a prefactor or a point's
-mu^b is a root of unity over 1, formed once per context.  Approx mode
-forms each product and sum of the step in turn, in a fixed order, so
-its doubles do not depend on how the exact path is arranged.
+mu^-a Z_boundary).  Every term, a monomial value of the u-sum, of
+Delta_a N or of a face's numerator (read from the face context's V table
+and times mu^-a times the face's prefactor), or a point term, goes to
+CyclotomicField._dot as its numerators over its own denominator with an
+int weight; _dot alone forms the common denominator, so a face's value
+is never summed or normalized on its own.  One field product by
+mu^a/(1 - mu^a) and one cyclotomic._reduced end the step.  mu^-a times
+a prefactor or a point's mu^b is a root of unity over 1, formed once per
+context.  A factor with Delta_a P_t = 0 (one free of the shifted
+variables) keeps u_t = k_t in the u-sum: every other term has G(v) = 0,
+and the index table leaves it out.  Approx mode forms each product and
+sum of the step in turn, in a fixed order, so its doubles do not depend
+on how the exact path is arranged.
 
 With one factor whose difference Delta_a P is a nonzero constant p/q
 (every linear factor, and a structured quadratic along a shift
@@ -57,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -324,10 +329,11 @@ class _Context:
 
     That is mu^a, 1/(1 - mu^a) (approx mode) or mu^a/(1 - mu^a) and
     the numerators of mu^-a times each face's prefactor and each point's
-    mu^b (exact mode), the differences Delta_a P_t, the products G(v),
-    and the signed boundary faces: restricted pairs each face with the
-    default context of its sub-series (shared with every other shift
-    that has the face), points holds the points.  The
+    mu^b (exact mode), the differences Delta_a P_t, zero_mask (which of
+    them are zero), the products G(v), and the signed boundary faces:
+    restricted pairs each face with the default context of its
+    sub-series (shared with every other shift that has the face), points
+    holds the points.  The
     context also holds V[(alpha, k)], the values of monomial numerators,
     and steps, the step data of every numerator it has met, keyed by
     alpha for X^alpha and by the canonical text of an explicit top-level
@@ -346,6 +352,7 @@ class _Context:
         "inv1ma",
         "field",
         "deltas",
+        "zero_mask",
         "V",
         "steps",
         "restricted",
@@ -387,6 +394,9 @@ class _Context:
             self.field = None
             self.inv1ma = 1.0 / (mus.one_scalar() - self.mu_a)
         self.deltas = tuple(P.delta(a) for P in Ps)
+        # G(v) = 0 once v_t > 0 for a factor with Delta_a P_t = 0, so the
+        # u-sum keeps u_t = k_t there (_index_terms)
+        self.zero_mask = tuple(not delta.nums for delta in self.deltas)
         # with G(v) = (p/q)^v each u-sum is a binomial transform of
         # columns of V (_column_terms)
         self.columns = None
@@ -629,44 +639,55 @@ class ValueCache:
 
     # recursion ------------------------------------------------------
 
-    def _index_terms(self, k: tuple[int, ...]):
-        """The list of (u, v, weight) with u + v = k, u != k, and the
-        multinomial weight prod_t C(k_t, u_t) = prod_t C(k_t, v_t).
+    def _index_terms(self, k: tuple[int, ...], mask: tuple[bool, ...]):
+        """The list of (u, v, weight) with u + v = k, u != k, v_t = 0
+        wherever mask_t is set, and the multinomial weight prod_t
+        C(k_t, u_t) = prod_t C(k_t, v_t).
 
-        The residual convention enumerates u in lexicographic order, the
-        consumed convention v; both cover the same terms, and approx mode
-        sums them in this order.  v = k - u runs through the reversed
-        ranges in step with u, and each weight is a product of entries of
-        the rows C(k_t, 0..k_t), built once per table, so no term
-        computes a binomial.  Tables are memoized per session, for any
-        number of factors, up to _TABLE_MEMO_TERMS terms in all, and
-        built anew each step beyond that.  The weights are plain ints:
-        the step's one CyclotomicField._dot takes them as they are.  An
-        exact context with one factor and a nonzero constant Delta_a P
-        reads no table: its u-sum is one column sum per monomial
-        (_column_terms), the same in both index forms.
+        mask is a context's zero_mask: a factor with Delta_a P_t = 0 makes
+        G(v) zero once v_t > 0, so those terms are left out rather than
+        built and summed as empty groups.  The residual convention
+        enumerates u in lexicographic order, the consumed convention v;
+        both cover the same terms, and approx mode sums them in this
+        order, which is the unmasked order with the masked terms taken
+        out.  v = k - u runs through the reversed ranges in step with u,
+        and each weight is a product of entries of the rows C(k_t,
+        0..k_t), built once per table, so no term computes a binomial.
+        Tables are memoized per session under (k, mask), for any number
+        of factors, up to _TABLE_MEMO_TERMS terms in all, and built anew
+        each step beyond that.  The weights are plain ints: the step's
+        one CyclotomicField._dot takes them as they are.  An exact context
+        with one factor and a nonzero constant Delta_a P reads no table:
+        its u-sum is one column sum per monomial (_column_terms), the
+        same in both index forms.
         """
-        table = self._tables.get(k)
+        key = (k, mask)
+        table = self._tables.get(key)
         if table is not None:
             return table
-        ups = [range(x + 1) for x in k]
-        downs = [range(x, -1, -1) for x in k]
-        rows = [_binomial_row(x) for x in k]
+        residual = self.index_form == "residual"
+        us, vs, rows = [], [], []
+        for x, zero in zip(k, mask):
+            if zero:
+                us.append((x,))
+                vs.append((0,))
+                rows.append((1,))
+            else:
+                up, down = range(x + 1), range(x, -1, -1)
+                # the enumerated index runs up, its complement down
+                us.append(up if residual else down)
+                vs.append(down if residual else up)
+                rows.append(_binomial_row(x))
         weights = map(math.prod, itertools.product(*rows))
-        if self.index_form == "residual":
+        terms = zip(itertools.product(*us), itertools.product(*vs), weights)
+        if residual:
             # u = k comes last
-            terms = zip(
-                itertools.product(*ups), itertools.product(*downs), weights
-            )
-            table = list(itertools.islice(terms, math.prod(map(len, ups)) - 1))
+            table = list(itertools.islice(terms, math.prod(map(len, us)) - 1))
         else:
             # v = 0 comes first
-            terms = zip(
-                itertools.product(*downs), itertools.product(*ups), weights
-            )
             table = list(itertools.islice(terms, 1, None))
         if self._table_terms + len(table) <= _TABLE_MEMO_TERMS:
-            self._tables[k] = table
+            self._tables[key] = table
             self._table_terms += len(table)
         return table
 
@@ -680,21 +701,27 @@ class ValueCache:
 
         Exact mode adds every term in one CyclotomicField._dot, each
         over its own denominator: the terms of the u-sum and Delta_a N
-        (_combine or _column_terms), each face's value times its root
-        mu^-a prefactor (one field product on numerators) with weight 1,
-        and each point's root mu^(b-a) with weight p nb.numerator over
-        q nb.denominator.  One product by mu^a/(1 - mu^a) and one
-        cyclotomic._reduced end the step; the signs of the faces ride on
-        their prefactors and point terms.  Approx mode
-        forms each product and sum in turn, in the order written here; a
-        point adds mu^b times p nb / q, one correctly rounded division of
-        integers, the double that float() gives that Fraction."""
+        (_combine or _column_terms); for each monomial c X^alpha of a
+        face's numerator, V(alpha, k) of the face context times the
+        face's root mu^-a prefactor (one field product on numerators)
+        over its denominator times the numerator's, with weight c, a
+        missing entry yielded as in _combine; and each point's root
+        mu^(b-a) with weight p nb.numerator over q nb.denominator.  One
+        product by mu^a/(1 - mu^a) and one cyclotomic._reduced end the
+        step; the signs of the faces ride on their prefactors and point
+        terms.  The u-sum leaves out the terms with v_t > 0 for a factor
+        with Delta_a P_t = 0 (_index_terms).  Approx mode forms each
+        product and sum in turn, in the order written here, each face's
+        value by _resolve; a point adds mu^b times p nb / q, one
+        correctly rounded division of integers, the double that float()
+        gives that Fraction."""
         if inner is ctx and ctx.columns is not None:
             combined = yield from self._column_terms(ctx, data, k, parent)
         else:
             prod = data.prod
             groups = [
-                (prod(ctx, v), u, w) for u, v, w in self._index_terms(k)
+                (prod(ctx, v), u, w)
+                for u, v, w in self._index_terms(k, ctx.zero_mask)
             ]
             groups.append((data.delta, k, None))
             combined = yield from self._combine(inner, groups, parent)
@@ -711,12 +738,17 @@ class ValueCache:
                 total = total + point.mu_b * ratio
             return ctx.inv1ma * total
         taps = field.taps
+        cyclo_mul = kernels.cyclo_mul
         nums, dens, weights = combined
         for ((_, sub_ctx), poly), root in zip(faces, ctx.face_roots):
-            sval = yield from self._resolve(sub_ctx, poly, k, parent)
-            nums.append(kernels.cyclo_mul(root, sval.num, taps))
-            dens.append(sval.den)
-            weights.append(1)
+            get = sub_ctx.V.get
+            for alpha, c in poly.nums.items():
+                value = get((alpha, k))
+                if value is None:
+                    value = yield sub_ctx, alpha, k, parent
+                nums.append(cyclo_mul(root, value.num, taps))
+                dens.append(value.den * poly.den)
+                weights.append(c)
         points = zip(ctx.points, data.at_points, ctx.point_roots)
         for point, nb, root in points:
             if nb:
@@ -726,7 +758,7 @@ class ValueCache:
                 weights.append(p * nb.numerator)
         num, den = field._dot(nums, dens, weights)
         scale = ctx.scale
-        num = kernels.cyclo_mul(scale.num, num, taps)
+        num = cyclo_mul(scale.num, num, taps)
         return _reduced(field, num, den * scale.den)
 
     def _run(self, gen) -> Scalar:
@@ -776,8 +808,9 @@ class ValueCache:
         _step's CyclotomicField._dot as (numerators, denominators,
         weights): each V value of a monomial c X^alpha of a group enters
         over its own denominator times the polynomial's, with the int
-        weight c w; approx mode keeps one combination per group, scaled
-        by w and summed in order."""
+        weight c w; _step appends the face and point terms to the same
+        lists.  Approx mode keeps one combination per nonzero group,
+        scaled by w and summed in order."""
         if __debug__ and parent is not None:
             _check_descent(ctx.N, groups, parent)
         if ctx.field is not None:
@@ -864,6 +897,16 @@ class ValueCache:
         return ctx.mus.lincomb(pairs, poly.den)
 
 
+def _check_indexable(k: Sequence[int]) -> None:
+    """Refuse a k with an entry above sys.maxsize, the largest length of
+    a list: its binomial rows and index ranges cannot be built."""
+    for t, x in enumerate(k, start=1):
+        if x > sys.maxsize:
+            raise EngineError(
+                f"k_{t} = {x} exceeds the largest index {sys.maxsize}"
+            )
+
+
 def _as_k(inst: ZetaInstance, k) -> tuple[int, ...]:
     k = tuple(map(operator.index, k))
     if len(k) != inst.nfactors:
@@ -872,6 +915,7 @@ def _as_k(inst: ZetaInstance, k) -> tuple[int, ...]:
         )
     if any(x < 0 for x in k):
         raise ValueError("the entries of k must be naturals")
+    _check_indexable(k)
     return k
 
 

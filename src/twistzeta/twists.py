@@ -231,13 +231,18 @@ class TwistVector:
         return None
 
     def canonical_text(self) -> str:
-        if self.mode == "exact":
-            es = ",".join(
-                str(e % self.order) for e in self.exponents
-            )
-            return f"zeta(r={self.order};e={es})"
-        ts = ",".join(repr(t) for t in self.angles)
-        return f"angles({ts})"
+        """The cache-key text; computed once per vector and kept outside
+        the dataclass fields (eq, hash and repr ignore it)."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            if self.mode == "exact":
+                es = ",".join(str(e % self.order) for e in self.exponents)
+                text = f"zeta(r={self.order};e={es})"
+            else:
+                ts = ",".join(repr(t) for t in self.angles)
+                text = f"angles({ts})"
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def _grow_rows(rows: dict, n: int, step) -> tuple:

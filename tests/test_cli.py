@@ -687,14 +687,35 @@ def test_value_at_large_k_exits_cleanly(tmp_path):
     ("verify", LINEAR, "--max", "99999999999999999999"),
 ])
 def test_an_unindexable_k_is_an_engine_error(capsys, argv):
-    # a k past the index range raises OverflowError at once, before any
-    # list is allocated; main reports it rather than raising
+    # a k past the index range is refused while k is parsed, before any
+    # list is allocated, with a message that names the entry and the limit
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 4
-    assert err.startswith("engine error: ")
-    assert "Traceback" not in err
+    assert err == (
+        "engine error: k_1 = 99999999999999999999 exceeds the largest "
+        f"index {sys.maxsize}\n"
+    )
     if argv[0] == "value":
         assert out == ""
+
+
+@pytest.mark.parametrize("queries, argv", [
+    # the closed route would expand P^k before any engine entry point
+    ([[99999999999999999999]], ("value", "--method", "closed")),
+    ({"max": [99999999999999999999]}, ("table",)),
+])
+def test_an_unindexable_document_k_is_an_engine_error(
+        tmp_path, capsys, queries, argv):
+    raw = json.loads(Path(LINEAR).read_text())
+    raw["queries"] = queries
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(raw))
+    rc, out, err = run_cli(capsys, argv[0], str(doc), *argv[1:])
+    assert (rc, out) == (4, "")
+    assert err == (
+        "engine error: k_1 = 99999999999999999999 exceeds the largest "
+        f"index {sys.maxsize}\n"
+    )
 
 
 def test_both_methods_stop_when_the_recurrence_has_no_double_form(

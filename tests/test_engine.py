@@ -853,6 +853,31 @@ def test_exact_hot_paths_need_no_general_inverse(monkeypatch):
     assert values() == want
 
 
+def test_exact_steps_sum_no_face_on_its_own(monkeypatch):
+    # a face's numerator enters its step's one _dot monomial by monomial:
+    # the only TwistVector.lincomb of an exact query is the default
+    # query's resolution of its top-level Q, and an explicit shift, which
+    # steps Q itself, makes none
+    X1, X2, X3 = (SparsePolynomial.variable(3, i) for i in (1, 2, 3))
+    one = SparsePolynomial.one(3)
+    mus = TwistVector.exact(5, [1, 2, 3])
+    inst = ZetaInstance(one + X2 * X3, (X1 + X2 + X3 * 2 + one,), mus)
+    k = (3,)
+    want = closed_value(inst.Q, inst.Ps, k, mus)
+    calls = []
+    lincomb = TwistVector.lincomb
+
+    def counted(self, pairs, den=1):
+        calls.append(den)
+        return lincomb(self, pairs, den)
+
+    monkeypatch.setattr(TwistVector, "lincomb", counted)
+    for shift, expected in (("default", 1), ((1, 1, 1), 0), ((2, 1, 0), 0)):
+        calls.clear()
+        assert special_value(inst, k, shift=shift) == want
+        assert len(calls) == expected, shift
+
+
 def _reference_index_terms(index_form, k):
     """The (u, v, weight) enumeration with each weight a product of
     math.comb calls."""
@@ -880,15 +905,69 @@ def test_index_terms_match_binomial_reference(index_form, k):
     want = list(_reference_index_terms(index_form, k))
     # the second call reads the session's memo when k has several factors
     for _ in range(2):
-        got = list(session._index_terms(k))
+        got = list(session._index_terms(k, (False,) * len(k)))
         assert got == want
         assert all(type(w) is int for _, _, w in got)
     if len(k) == 1:
         # every smaller one-factor k, in the session whose memo already
         # holds the table of k
         for n in range(k[0]):
-            got = list(session._index_terms((n,)))
+            got = list(session._index_terms((n,), (False,)))
             assert got == list(_reference_index_terms(index_form, (n,)))
+
+
+@pytest.mark.parametrize("index_form", ["residual", "consumed"])
+@pytest.mark.parametrize("k", [
+    (0,), (3,),
+    (0, 0), (0, 3), (4, 0), (2, 5),
+    (0, 0, 0), (2, 0, 1), (0, 4, 0), (1, 3, 2),
+])
+def test_masked_index_terms_filter_the_unmasked_table(index_form, k):
+    # a factor with Delta_a P_t = 0 keeps u_t = k_t: under every mask the
+    # table is the unmasked one without the terms that have v_t > 0 on a
+    # masked factor, in the same order, which approx mode sums in
+    session = ValueCache(index_form)
+    full = session._index_terms(k, (False,) * len(k))
+    for mask in itertools.product((False, True), repeat=len(k)):
+        want = [
+            (u, v, w) for u, v, w in full
+            if not any(x for x, zero in zip(v, mask) if zero)
+        ]
+        # the second call reads the session's memo
+        for _ in range(2):
+            assert session._index_terms(k, mask) == want
+
+
+@pytest.mark.parametrize("index_form", ["residual", "consumed"])
+@pytest.mark.parametrize("Ps, shift", [
+    ("X1 + X2 + 1; X2 + 2", "default"),
+    ("X1 + X2 + 1; X2 + 2", (2, 0)),
+    ("X1 + X2 + 1; X2 + 2", (1, 1)),
+    ("2 X1 + X2; X2 + 1; X2^2 + 3", "default"),
+    ("2 X1 + X2; X2 + 1; X2^2 + 3", (1, 2)),
+])
+def test_a_factor_free_of_x1_matches_the_closed_form(index_form, Ps, shift):
+    # under e_1 (and any shift along X1) the factors free of X1 have
+    # Delta_a P_t = 0, so the u-sum keeps u_t = k_t for them
+    X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+    one = SparsePolynomial.one(2)
+    forms = {
+        "X1 + X2 + 1": X1 + X2 + one,
+        "X2 + 2": X2 + one * 2,
+        "2 X1 + X2": X1 * 2 + X2,
+        "X2 + 1": X2 + one,
+        "X2^2 + 3": X2 * X2 + one * 3,
+    }
+    factors = tuple(forms[text] for text in Ps.split("; "))
+    mus = TwistVector.exact(5, [1, 3])
+    inst = ZetaInstance(one + X2 * 2, factors, mus)
+    session = ValueCache(index_form)
+    masked = session.context(factors, mus, None if shift == "default"
+                             else shift).zero_mask
+    assert any(masked) == (shift in ("default", (2, 0)))
+    for k in ks_up_to(len(factors), 3):
+        got = special_value(inst, k, shift=shift, cache=session)
+        assert got == closed_value(inst.Q, factors, k, mus), k
 
 
 @pytest.mark.parametrize("factors, k, bound", [
