@@ -27,21 +27,24 @@ therefore meets the same face sub-series, and one session shares their
 contexts and value tables across shifts.  The default shift e_1 has the
 single face m_1 = 1.
 
-In exact mode one step of the relation is one integer sum and one
-normalization, from Z(Q; -k) = mu^a/(1 - mu^a) (u-sum + Delta_a part +
-mu^-a Z_boundary).  Every term, a monomial value of the u-sum, of
-Delta_a N or of a face's numerator (read from the face context's V table
-and times mu^-a times the face's prefactor), or a point term, goes to
-CyclotomicField._dot as its numerators over its own denominator with an
-int weight; _dot alone forms the common denominator, so a face's value
+Every term on the right is a value of a smaller series.  A step is one
+list of groups (context, polynomial, u, w, root) asking for monomial
+values V(alpha, u) in a context's table: the u-sum groups and Delta_a N
+in the series' own context, and each face's numerator at k in the
+face's, with the root mu^-a times the face's prefactor.  In exact mode,
+from Z(Q; -k) = mu^a/(1 - mu^a) (u-sum + Delta_a part + mu^-a
+Z_boundary), one loop hands every monomial value, and the point terms,
+to CyclotomicField._dot as numerators over their own denominators with
+int weights; _dot alone forms the common denominator, so a face's value
 is never summed or normalized on its own.  One field product by
 mu^a/(1 - mu^a) and one cyclotomic._reduced end the step.  mu^-a times
 a prefactor or a point's mu^b is a root of unity over 1, formed once per
 context.  A factor with Delta_a P_t = 0 (one free of the shifted
 variables) keeps u_t = k_t in the u-sum: every other term has G(v) = 0,
-and the index table leaves it out.  Approx mode forms each product and
-sum of the step in turn, in a fixed order, so its doubles do not depend
-on how the exact path is arranged.
+and the index table leaves it out.  Approx mode resolves the u-sum and
+Delta_a N groups, then each face, forming each product and sum in turn
+in a fixed order, so its doubles do not depend on how the exact path is
+arranged.
 
 With one factor whose difference Delta_a P is a nonzero constant p/q
 (every linear factor, and a structured quadratic along a shift
@@ -52,7 +55,7 @@ of the value table.  In exact mode such a context keeps each column's
 numerators and denominators beside V and sums the first k entries in
 one CyclotomicField._dot, against the weights C(k,u) p^(k-u) q^u over
 q^k built once per step; no product N(X+a) G(v) is formed.  Every other
-context, and approx mode, sums the u-sum term by term: approx mode
+context, and approx mode, sums the u-sum group by group: approx mode
 keeps its one order of rounded sums, which the column sum would change.
 """
 
@@ -328,9 +331,10 @@ class _Context:
     depends neither on k nor on the numerator.
 
     That is mu^a, 1/(1 - mu^a) (approx mode) or mu^a/(1 - mu^a) and
-    the numerators of mu^-a times each face's prefactor and each point's
-    mu^b (exact mode), the differences Delta_a P_t, zero_mask (which of
-    them are zero), the products G(v), and the signed boundary faces:
+    the numerators of mu^-a times each face's prefactor (the roots of
+    _step's face groups) and each point's mu^b (exact mode), the
+    differences Delta_a P_t, zero_mask (which of them are zero), the
+    products G(v), and the signed boundary faces:
     restricted pairs each face with the default context of its
     sub-series (shared with every other shift that has the face), points
     holds the points.  The
@@ -398,7 +402,8 @@ class _Context:
         # u-sum keeps u_t = k_t there (_index_terms)
         self.zero_mask = tuple(not delta.nums for delta in self.deltas)
         # with G(v) = (p/q)^v each u-sum is a binomial transform of
-        # columns of V (_column_terms)
+        # columns of V (_column_terms), and _step's groups keep only
+        # Delta_a N and the faces
         self.columns = None
         self.ratio = None
         if self.field is not None and self.T == 1:
@@ -538,13 +543,14 @@ def _transform_weights(n: int, p: int, q: int) -> list[int]:
 
 
 def _check_descent(N: int, groups: list, parent) -> None:
-    """Assert (N, |u|, deg p) < parent for every group (p, u, w) with p
-    nonzero; the degree is computed only when (N, |u|) ties with the
-    parent, that is for the Delta_a N group."""
+    """Assert (N, |u|, deg p) < parent for every group (context, p, u, w,
+    root) of _step with p nonzero, all in contexts of N variables; the
+    degree is computed only when (N, |u|) ties with the parent, that is
+    for the Delta_a N group."""
     n, size, degree = parent
     if N < n:
         return
-    for p, u, w in groups:
+    for _, p, u, _, _ in groups:
         if (N > n or sum(u) >= size) and p.nums:
             assert N == n and sum(u) == size and p.total_degree() < degree, (
                 "recursion metric failed to decrease"
@@ -655,11 +661,12 @@ class ValueCache:
         0..k_t), built once per table, so no term computes a binomial.
         Tables are memoized per session under (k, mask), for any number
         of factors, up to _TABLE_MEMO_TERMS terms in all, and built anew
-        each step beyond that.  The weights are plain ints: the step's
-        one CyclotomicField._dot takes them as they are.  An exact context
-        with one factor and a nonzero constant Delta_a P reads no table:
-        its u-sum is one column sum per monomial (_column_terms), the
-        same in both index forms.
+        each step beyond that.  _step makes each term the group
+        (N(X+a) G(v), u, weight) of its one gather loop; the weights are
+        plain ints, which CyclotomicField._dot takes as they are.  An
+        exact context with one factor and a nonzero constant Delta_a P
+        reads no table: its u-sum is one column sum per monomial
+        (_column_terms), the same in both index forms.
         """
         key = (k, mask)
         table = self._tables.get(key)
@@ -693,42 +700,57 @@ class ValueCache:
 
     def _step(self, ctx: _Context, data: _Step, k, inner: _Context, parent):
         """One application of the relation: Z(N; -k) from the step data
-        of N in ctx.  The u-sum and Delta_a N resolve in inner (ctx
-        itself, or the default context under an explicit top-level
-        shift), each face in its sub-series' context.  A
-        generator: it yields (ctx, alpha, k, parent) for every V entry it
-        misses and returns the value (see _run).
+        of N in ctx.  A generator: it yields (ctx, alpha, k, parent) for
+        every V entry it misses and returns the value (see _run).
 
-        Exact mode adds every term in one CyclotomicField._dot, each
-        over its own denominator: the terms of the u-sum and Delta_a N
-        (_combine or _column_terms); for each monomial c X^alpha of a
-        face's numerator, V(alpha, k) of the face context times the
-        face's root mu^-a prefactor (one field product on numerators)
-        over its denominator times the numerator's, with weight c, a
-        missing entry yielded as in _combine; and each point's root
-        mu^(b-a) with weight p nb.numerator over q nb.denominator.  One
-        product by mu^a/(1 - mu^a) and one cyclotomic._reduced end the
-        step; the signs of the faces ride on their prefactors and point
-        terms.  The u-sum leaves out the terms with v_t > 0 for a factor
-        with Delta_a P_t = 0 (_index_terms).  Approx mode forms each
-        product and sum in turn, in the order written here, each face's
-        value by _resolve; a point adds mu^b times p nb / q, one
-        correctly rounded division of integers, the double that float()
-        gives that Fraction."""
+        The step is a list of groups (context, polynomial, u, w, root),
+        each asking for the polynomial's monomial values V(alpha, u) in
+        the context's table: the u-sum groups (N(X+a) G(v), u, C(k, u))
+        and (Delta_a N, k, None) in inner (ctx itself, or the default
+        context under an explicit top-level shift) with root None, and
+        in exact mode one group (face numerator, k, 1, mu^-a prefactor)
+        per face, in its sub-series' context.  The inner groups are
+        checked once against the recursion metric (_check_descent), so
+        a cached V entry cannot hide a step that fails to descend.  A
+        context with columns sums its u-sum by columns (_column_terms)
+        and keeps only the Delta_a N group.
+
+        Exact mode adds every term in one CyclotomicField._dot: one loop
+        reads each group's V table and adds each monomial c X^alpha as
+        V(alpha, u), times the root if any (one field product on
+        numerators), over its denominator times the polynomial's, with
+        the int weight c w; then each point's root mu^(b-a) with weight
+        p nb.numerator over q nb.denominator.  One product by
+        mu^a/(1 - mu^a) and one cyclotomic._reduced end the step; the
+        signs of the faces ride on their prefactors and point terms.
+        Approx mode forms each product and sum in turn, in the order
+        written here: each nonzero inner group by _resolve, times w
+        unless w is None, then mu^a times their sum, each face's value
+        by _resolve times its prefactor, and each point's mu^b times
+        p nb / q, one correctly rounded division of integers, the
+        double that float() gives that Fraction."""
         if inner is ctx and ctx.columns is not None:
-            combined = yield from self._column_terms(ctx, data, k, parent)
+            terms = yield from self._column_terms(ctx, data, k, parent)
+            groups = []
         else:
+            terms = [], [], []
             prod = data.prod
             groups = [
-                (prod(ctx, v), u, w)
+                (inner, prod(ctx, v), u, w, None)
                 for u, v, w in self._index_terms(k, ctx.zero_mask)
             ]
-            groups.append((data.delta, k, None))
-            combined = yield from self._combine(inner, groups, parent)
-        faces = zip(ctx.restricted, data.restricted)
+        groups.append((inner, data.delta, k, None, None))
+        if __debug__ and parent is not None:
+            _check_descent(inner.N, groups, parent)
         field = ctx.field
         if field is None:
-            total = ctx.mu_a * combined
+            acc = 0j
+            for group_ctx, p, u, w, _ in groups:
+                if p.nums:
+                    value = yield from self._resolve(group_ctx, p, u, parent)
+                    acc = acc + (value if w is None else value * w)
+            total = ctx.mu_a * acc
+            faces = zip(ctx.restricted, data.restricted)
             for (piece, sub_ctx), poly in faces:
                 sval = yield from self._resolve(sub_ctx, poly, k, parent)
                 total = total + piece.prefactor * sval
@@ -737,18 +759,27 @@ class ValueCache:
                 ratio = (p * nb.numerator) / (q * nb.denominator)
                 total = total + point.mu_b * ratio
             return ctx.inv1ma * total
+        faces = zip(ctx.restricted, data.restricted, ctx.face_roots)
+        groups.extend(
+            (sub_ctx, poly, k, 1, root) for (_, sub_ctx), poly, root in faces
+        )
         taps = field.taps
         cyclo_mul = kernels.cyclo_mul
-        nums, dens, weights = combined
-        for ((_, sub_ctx), poly), root in zip(faces, ctx.face_roots):
-            get = sub_ctx.V.get
-            for alpha, c in poly.nums.items():
-                value = get((alpha, k))
+        nums, dens, weights = terms
+        for group_ctx, p, u, w, root in groups:
+            get = group_ctx.V.get
+            if w is None:
+                w = 1
+            for alpha, c in p.nums.items():
+                value = get((alpha, u))
                 if value is None:
-                    value = yield sub_ctx, alpha, k, parent
-                nums.append(cyclo_mul(root, value.num, taps))
-                dens.append(value.den * poly.den)
-                weights.append(c)
+                    value = yield group_ctx, alpha, u, parent
+                if root is None:
+                    nums.append(value.num)
+                else:
+                    nums.append(cyclo_mul(root, value.num, taps))
+                dens.append(value.den * p.den)
+                weights.append(c * w)
         points = zip(ctx.points, data.at_points, ctx.point_roots)
         for point, nb, root in points:
             if nb:
@@ -797,63 +828,20 @@ class ValueCache:
             gen = self._step(ctx, self._step_data(ctx, alpha), k, ctx, here)
             value = None
 
-    def _combine(self, ctx: _Context, groups: list, parent):
-        """sum over groups (polynomial, u, w) of w * resolve(polynomial, u),
-        where w None means a plain sum; a generator like _step.
-
-        Every group is checked once against the recursion metric: (N,
-        |u|, deg polynomial) < parent, so a cached V entry cannot hide a
-        step that fails to descend.  Exact mode then reads the V table
-        directly, stepping only on a miss, and returns the terms for
-        _step's CyclotomicField._dot as (numerators, denominators,
-        weights): each V value of a monomial c X^alpha of a group enters
-        over its own denominator times the polynomial's, with the int
-        weight c w; _step appends the face and point terms to the same
-        lists.  Approx mode keeps one combination per nonzero group,
-        scaled by w and summed in order."""
-        if __debug__ and parent is not None:
-            _check_descent(ctx.N, groups, parent)
-        if ctx.field is not None:
-            get = ctx.V.get
-            nums = []
-            dens = []
-            weights = []
-            for p, u, w in groups:
-                if w is None:
-                    w = 1
-                for alpha, c in p.nums.items():
-                    value = get((alpha, u))
-                    if value is None:
-                        value = yield ctx, alpha, u, parent
-                    nums.append(value.num)
-                    dens.append(value.den * p.den)
-                    weights.append(c * w)
-            return nums, dens, weights
-        acc = 0j
-        for p, u, w in groups:
-            if p.nums:
-                value = yield from self._resolve(ctx, p, u, parent)
-                acc = acc + (value if w is None else value * w)
-        return acc
-
     def _column_terms(self, ctx: _Context, data: _Step, k, parent):
-        """The terms of _combine for a context with columns, where the
-        u-sum is sum_beta n_beta sum_{u<k} C(k,u) (p/q)^(k-u) V(beta, u)
-        over the monomials n_beta X^beta of N(X+a); a generator like
-        _step.
+        """The u-sum terms of _step's CyclotomicField._dot for a context
+        with columns, where the u-sum is sum_beta n_beta sum_{u<k}
+        C(k,u) (p/q)^(k-u) V(beta, u) over the monomials n_beta X^beta
+        of N(X+a); a generator like _step.
 
         The weights C(k,u) p^(k-u) q^u over q^k are built once, in one
         list, before anything is stepped.  Each beta then steps the
         entries missing from its column, in order, and sums its first k
-        entries in one CyclotomicField._dot.  The terms come back as in
-        _combine: each column sum (num, den) over den q^k times the
-        denominator of N(X+a), with weight n_beta, and each value of a
-        monomial c X^alpha of Delta_a N at k over its own denominator
-        times that of Delta_a N, with weight c.  The descent check runs
-        on the Delta_a N group: every u-sum entry has |u| < |k|."""
-        delta = data.delta
-        if __debug__ and parent is not None:
-            _check_descent(ctx.N, [(delta, k, None)], parent)
+        entries in one CyclotomicField._dot.  The terms come back as
+        (numerators, denominators, weights): each column sum (num, den)
+        over den q^k times the denominator of N(X+a), with weight
+        n_beta.  Every u-sum entry has |u| < |k|, so only _step's
+        Delta_a N group needs the descent check."""
         (n,) = k
         nums = []
         dens = []
@@ -874,14 +862,6 @@ class ValueCache:
                 nums.append(num)
                 dens.append(den * over)
                 weights.append(c)
-        get = ctx.V.get
-        for alpha, c in delta.nums.items():
-            value = get((alpha, k))
-            if value is None:
-                value = yield ctx, alpha, k, parent
-            nums.append(value.num)
-            dens.append(value.den * delta.den)
-            weights.append(c)
         return nums, dens, weights
 
     def _resolve(self, ctx: _Context, poly: SparsePolynomial, k, parent):
@@ -977,7 +957,7 @@ def special_value(
     return value
 
 
-# Fast paths for structured factor families --------------------------
+# Corollary entry points: hypotheses checked, then the same recurrence -
 
 
 def linear_special_value(
@@ -987,8 +967,9 @@ def linear_special_value(
     *,
     cache: ValueCache | None = None,
 ) -> Scalar:
-    """Fast path for Q = 1 and linear forms L_t with positive
-    coefficients, each variable occurring in some L_t.
+    """Z(1; L_1..L_T; mu; -k) for linear forms L_t with positive
+    coefficients, each variable occurring in some L_t, in the context of
+    the shift a: the same _value_in as special_value, not a faster path.
 
     Here Delta_a L_t = L_t(a) is a constant, so resolving Q in the
     context of the shift a holds that shift at every level, and the

@@ -822,6 +822,46 @@ def test_deep_k_needs_no_deep_stack():
     assert proc.stdout.split() == ["residual", "ok", "consumed", "ok"]
 
 
+def test_values_hold_with_assertions_off():
+    # python -O drops the step's descent checks (the __debug__ blocks);
+    # the general path, the column path and an explicit shift must give
+    # the closed values without them.  The script prints its verdicts,
+    # since -O drops its asserts too.
+    script = textwrap.dedent(
+        """
+        from twistzeta import TwistVector, ZetaInstance, special_value
+        from twistzeta.closedform import closed_value
+        from twistzeta.multipoly import SparsePolynomial
+
+        X1, X2 = (SparsePolynomial.variable(2, i) for i in (1, 2))
+        one = SparsePolynomial.one(2)
+        mus = TwistVector.exact(5, [1, 2])
+        general = ZetaInstance(
+            one + X2, (X1 * X2 + one, X1 + X2 * X2 + one * 2), mus
+        )
+        column = ZetaInstance(one + X1 * X2, (X1 * 2 + X2 + one,), mus)
+        print("debug", __debug__)
+        for name, inst, k, shift in (
+            ("general", general, (2, 1), "default"),
+            ("column", column, (6,), "default"),
+            ("explicit", general, (1, 2), (1, 1)),
+        ):
+            got = special_value(inst, k, shift=shift)
+            print(name, got == closed_value(inst.Q, inst.Ps, k, mus))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "debug", "False", "general", "True", "column", "True",
+        "explicit", "True",
+    ]
+
+
 def test_exact_hot_paths_need_no_general_inverse(monkeypatch):
     # 1/(1 - mu^a) in the default and an explicit shift, and 1/(1 - mu_n)
     # in the closed route, come from CyclotomicField.inverse_one_minus_root
@@ -876,6 +916,31 @@ def test_exact_steps_sum_no_face_on_its_own(monkeypatch):
         calls.clear()
         assert special_value(inst, k, shift=shift) == want
         assert len(calls) == expected, shift
+    # and each step is one _dot: on the general path (two factors, so no
+    # context has columns) the calls are the V entries the session
+    # computed, plus one for the top-level Q (the default query's
+    # lincomb, or the explicit shift's own step)
+    inst = ZetaInstance(
+        one + X2 * X3, (X1 * X2 + X3 + one, X1 + X2 * X2 + one * 2), mus
+    )
+    k = (2, 1)
+    want = closed_value(inst.Q, inst.Ps, k, mus)
+    dots = []
+    dot = CyclotomicField._dot
+
+    def counted_dot(self, nums, dens, weights):
+        dots.append(len(nums))
+        return dot(self, nums, dens, weights)
+
+    monkeypatch.setattr(CyclotomicField, "_dot", counted_dot)
+    for shift, expected in (("default", 61), ((1, 1, 1), 181)):
+        dots.clear()
+        session = ValueCache()
+        assert special_value(inst, k, shift=shift, cache=session) == want
+        contexts = {id(c): c for c in session._contexts.values()}.values()
+        assert all(ctx.columns is None for ctx in contexts)
+        entries = sum(len(ctx.V) for ctx in contexts)
+        assert len(dots) == entries + 1 == expected, shift
 
 
 def _reference_index_terms(index_form, k):
@@ -996,7 +1061,8 @@ def test_index_tables_keep_a_small_peak(factors, k, bound):
 def test_metric_check_fires_on_cached_entries(monkeypatch):
     # Delta_a N is replaced, for N = X1^2 only, by X1 X2: same degree as
     # N at the same k.  Its V entry is cached by the first query, so
-    # only the per-group check in _combine can catch the bad step.
+    # only the step's check of its groups (_check_descent, run once per
+    # step in _step) can catch the bad step.
     from twistzeta import engine
 
     X1 = SparsePolynomial.variable(2, 1)
@@ -1130,8 +1196,9 @@ def test_closed_route_keeps_its_approx_doubles_when_products_pack(
 
 
 def _general_path(monkeypatch):
-    """Contexts built from here on sum every u-sum term by term, through
-    _combine, as contexts without a constant Delta_a P do."""
+    """Contexts built from here on sum every u-sum group by group, in
+    _step's one gather loop, as contexts without a constant Delta_a P
+    do."""
     init = engine._Context.__init__
 
     def without_columns(self, *args):
@@ -1357,3 +1424,33 @@ def test_random_series_keep_the_contract(N, T, degree, r, seed, data):
     )
     exact = _embed_fixed(want.num, want.den, r)
     assert abs(approx - exact) <= 1e-8 * (1 + abs(exact))
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 2),
+       st.sampled_from([7, 8, 9, 60]), st.integers(0, 10 ** 6), st.data())
+def test_folded_factors_keep_the_value(N, T, degree, r, seed, data):
+    # Z(Q; P_1..P_T; -k) is the series of Q prod_t P_t^(k_t) at -0, so
+    # folding P_2..P_T into Q (one factor at k_1), or every factor (one
+    # factor at 0), keeps the value: three recurrence values, each in a
+    # fresh session, compared with each other and not with the closed
+    # form, through the faces and the T >= 2 u-sum
+    es = data.draw(st.lists(st.integers(1, r - 1), min_size=N, max_size=N))
+    mus = TwistVector.exact(r, es)
+    k = tuple(data.draw(st.lists(st.integers(0, 2 if T == 2 else 1),
+                                 min_size=T, max_size=T)))
+    rng = random.Random(seed)
+    Q = random_polynomial(rng, N, degree)
+    Ps = tuple(random_polynomial(rng, N, degree) for _ in range(T))
+    rest = Q
+    for P, kt in zip(Ps[1:], k[1:]):
+        rest = rest * P ** kt
+    forms = (
+        (ZetaInstance(Q, Ps, mus), k),
+        (ZetaInstance(rest, Ps[:1], mus), k[:1]),
+        (ZetaInstance(rest * Ps[0] ** k[0], Ps[:1], mus), (0,)),
+    )
+    for index_form in ("residual", "consumed"):
+        got = [special_value(inst, kk, cache=ValueCache(index_form))
+               for inst, kk in forms]
+        assert got[0] == got[1] == got[2], (index_form, k)
