@@ -8,15 +8,20 @@ the twisted series at s = -k into the finite combination
 a formal identity in the coefficients.  This route never touches the
 recurrence machinery, so it serves as an independent oracle for it.
 E is a product of SparsePolynomials, so it runs on integer numerators
-over one denominator and closed_value reads E's stored table.
+over one denominator, and each P_t^(k_t) starts from the last power
+taken of P_t (SparsePolynomial.__pow__ keeps it on the factor), so a
+box of k and Abel's expansion at the same k repeat no squaring.
 
 The sum is separable, so both modes contract it one variable at a
-time against the rows zeta_{mu_n}(-j): the last variable by one
-TwistVector.lincomb per exponent prefix, with E's integer numerators as
-weights (in exact mode one integer dot product per coordinate), each
-earlier one by one product per prefix, and E's denominator divides once
-at the end.  Approx mode walks E in sorted exponent order, so its
-doubles do not depend on the path each product of the expansion took.
+time against the rows zeta_{mu_n}(-j), from the last variable to the
+first, one sum per distinct exponent prefix.  Exact mode runs on
+integers: each prefix is one CyclotomicField._dot of (numerators,
+denominator, weight) triples, E's integer numerators weighting the last
+variable and one kernels.cyclo_mul per prefix carrying each inner sum
+out, as an unnormalized (num, den) pair, to the variable before; E's
+denominator joins at the end, and the value is normalized once.  Approx
+mode walks E in sorted exponent order, so its doubles do not depend on
+the path each product of the expansion took.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import math
 import operator
 from typing import Sequence
 
+from ._backend import kernels
+from .cyclotomic import CyclotomicField, _reduced
 from .errors import DimensionMismatch
 from .multipoly import SparsePolynomial
 from .twists import Scalar, TwistVector, negapolylog
@@ -59,13 +66,15 @@ def closed_value(
 ) -> Scalar:
     """Z(Q; P_1..P_T; mu; -k) by the separable closed formula.
 
-    E's numerators are grouped by exponent prefix, and each group's last
-    variable is summed in one TwistVector.lincomb over the values
-    zeta_{mu_N}(-a_N) with the integer numerators as weights, in exact
-    mode one CyclotomicField._dot and one normalization; contracting
-    variable n < N then costs one product zeta_{mu_n}(-a_n) times the
-    inner sum per distinct prefix (a_1..a_n), so N = 1 makes none.  The
-    one step that depends on the mode: approx mode takes E's terms in
+    E's numerators are grouped by exponent prefix and contracted from
+    the last variable to the first, each variable's row
+    zeta_{mu_n}(-a_n) read once.  Exact mode sums each prefix in one
+    CyclotomicField._dot: the last variable with E's integer numerators
+    as weights, each earlier one over the products zeta_{mu_n}(-a_n)
+    times the inner sums, one kernels.cyclo_mul per distinct prefix
+    (a_1..a_n), n < N, so N = 1 makes none; the sums stay unnormalized
+    (num, den) pairs until the one normalization of the value.  Approx
+    mode sums each prefix by TwistVector.lincomb, taking E's terms in
     sorted exponent order, since its sums follow term order and E's key
     order follows the product path mul_terms took.
 
@@ -79,11 +88,11 @@ def closed_value(
             f"{Q.nvars} variables against {len(mus)} twists"
         )
     E = expand_numerator(Q, Ps, k)
-    lincomb, zero = mus.lincomb, mus.zero_scalar()
-    level = E.nums  # prefix -> int numerator, then -> Scalar
-    if mus.mode != "exact":
-        # approx sums follow key order, which must not follow mul_terms
-        level = dict(sorted(level.items()))
+    if mus.mode == "exact":
+        return _exact_contraction(E, mus)
+    lincomb = mus.lincomb
+    # approx sums follow key order, which must not follow mul_terms
+    level = dict(sorted(E.nums.items()))  # prefix -> int, then -> Scalar
     nvars = len(mus)
     for n in range(nvars, 0, -1):
         mu = mus.single(n)
@@ -95,4 +104,35 @@ def closed_value(
             )
         den = E.den if n == 1 else 1
         level = {p: lincomb(pairs, den) for p, pairs in groups.items()}
-    return level.get((), zero)
+    return level.get((), mus.zero_scalar())
+
+
+def _exact_contraction(E: SparsePolynomial, mus: TwistVector):
+    """closed_value's exact sum over the expansion E, in integers: a
+    prefix's inner sum (num, den) enters the prefix before it as the
+    vector cyclo_mul(zeta_{mu_n}(-a_n).num, num) over the product of
+    the denominators, with weight 1."""
+    field = CyclotomicField.get(mus.order)
+    if not E.nums:
+        return field.zero
+    dot, taps = field._dot, field.taps
+    mul = kernels.cyclo_mul
+    level = E.nums  # prefix -> int numerator, then -> (num, den)
+    nvars = len(mus)
+    for n in range(nvars, 0, -1):
+        mu = mus.single(n)
+        row: dict = {}  # a_n -> zeta_{mu_n}(-a_n)
+        groups: dict = {}  # prefix -> its (num, den, weight) triples
+        for alpha, v in level.items():
+            a = alpha[-1]
+            x = row.get(a)
+            if x is None:
+                x = row[a] = negapolylog(a, mu)
+            if n == nvars:  # v is E's integer numerator
+                term = (x.num, x.den, v)
+            else:  # v is the inner sum (num, den) of the prefix alpha
+                term = (mul(x.num, v[0], taps), x.den * v[1], 1)
+            groups.setdefault(alpha[:-1], []).append(term)
+        level = {p: dot(*zip(*terms)) for p, terms in groups.items()}
+    num, den = level[()]
+    return _reduced(field, num, den * E.den)

@@ -983,7 +983,7 @@ def linear_special_value(
     """
     k = _as_k(inst, k)
     if not (inst.Q.is_constant and inst.Q.constant_value() == ONE):
-        raise NotLinearForm("the linear fast path requires Q = 1")
+        raise NotLinearForm("linear_special_value requires Q = 1")
     for t, P in enumerate(inst.Ps, start=1):
         if P.is_zero or any(sum(e) != 1 for e in P.nums):
             raise NotLinearForm(f"P_{t} is not a linear form")

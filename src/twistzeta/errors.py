@@ -31,7 +31,8 @@ class MuPowerIsOne(TwistZetaError):
 
 
 class NotLinearForm(TwistZetaError):
-    """The linear fast path was invoked on an unsupported factor."""
+    """linear_special_value was called on a numerator other than 1 or on a
+    factor that is not a linear form with positive coefficients."""
 
 
 class DependencyConditionViolated(TwistZetaError):

@@ -50,7 +50,7 @@ class SparsePolynomial:
     """Polynomial in nvars variables with exact rational coefficients,
     stored as integer numerators nums over one denominator den."""
 
-    __slots__ = ("nvars", "nums", "den", "_hash", "_text")
+    __slots__ = ("nvars", "nums", "den", "_hash", "_text", "_power")
 
     def __init__(self, nvars: int, terms: Mapping | Iterable = ()):
         if nvars < 0:
@@ -80,6 +80,7 @@ class SparsePolynomial:
         self.den = den
         self._hash = None
         self._text = None
+        self._power = None
 
     # Internal fast path: nums over den already canonical.
     @classmethod
@@ -90,6 +91,7 @@ class SparsePolynomial:
         p.den = den
         p._hash = None
         p._text = None
+        p._power = None
         return p
 
     @classmethod
@@ -212,20 +214,35 @@ class SparsePolynomial:
         )
 
     def __pow__(self, k: int):
+        """self^k by squaring, from the last power taken of self.
+
+        The object keeps its last power k >= 2 as (k, self^k) in one
+        slot, outside equality, hashing and the text forms, and no
+        other: a repeated k returns it, a larger k multiplies it by
+        self^(k - j) for its j, square by square, and a smaller k starts
+        again from one."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("polynomial powers must be naturals")
-        if k == 1:
-            return self
-        result = SparsePolynomial.one(self.nvars)
+        if k < 2:
+            return self if k else SparsePolynomial.one(self.nvars)
+        last = self._power
+        if last is not None and last[0] <= k:
+            j, result = last
+            if j == k:
+                return result
+            n = k - j
+        else:
+            result, n = SparsePolynomial.one(self.nvars), k
         base = self
-        while k:
-            if k & 1:
+        while n:
+            if n & 1:
                 result = result * base
-            k >>= 1
-            if k:
+            n >>= 1
+            if n:
                 base = base * base
+        self._power = (k, result)
         return result
 
     # operators of the recurrence

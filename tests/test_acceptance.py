@@ -188,7 +188,7 @@ def test_criterion_4_fast_paths(capsys):
             expanded.Q, expanded.Ps, (k,), mus
         )
         checked += 1
-    _emit(capsys, 4, "specialized fast paths", ok,
+    _emit(capsys, 4, "corollary entry points", ok,
           f"{checked} values, linear forms and the structured quadratic")
 
 

@@ -228,6 +228,7 @@ def _per_monomial(Q, Ps, k, mus):
 
 _X = SparsePolynomial.variable(2, 1)
 _Y = SparsePolynomial.variable(2, 2)
+_X3, _Y3, _Z3 = (SparsePolynomial.variable(3, i) for i in (1, 2, 3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -238,6 +239,12 @@ _Y = SparsePolynomial.variable(2, 2)
           TwistVector.exact(5, [1, 2])))  # Q = 0
 @example((_X + 1, (_Y, SparsePolynomial.zero(2)), (1, 2),
           TwistVector.exact(60, [7, 11])))  # E = Q * Y * 0^2 = 0
+@example((_X * rat(3, 4) + _Y * rat(-5, 6) + rat(1, 3),
+          (_X * rat(2, 7) + _Y * 3 + rat(1, 2),), (4,),
+          TwistVector.exact(120, [7, 53])))  # phi = 32
+@example((_X3 * rat(-7, 5) + _Z3 + 2,
+          (_X3 + _Y3 * rat(5, 3) + _Z3 * rat(1, 4) + 1, _Y3 * _Z3 + rat(1, 6)),
+          (3, 2), TwistVector.exact(360, [1, 181, 299])))  # phi = 96
 def test_contraction_equals_the_per_monomial_sum(case):
     Q, Ps, k, mus = case
     assert closed_value(Q, Ps, k, mus) == _per_monomial(Q, Ps, k, mus)
@@ -245,11 +252,12 @@ def test_contraction_equals_the_per_monomial_sum(case):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_contraction_costs_one_product_per_prefix(monkeypatch, N):
-    # the last variable is summed by an integer lincomb, so the field
-    # products are one per distinct exponent prefix (a_1..a_n), n < N:
-    # for N = 2 the distinct first-variable exponents of E, for N = 1 none
+    # the last variable is summed by an integer dot product, so the
+    # coordinate products are one per distinct exponent prefix
+    # (a_1..a_n), n < N: for N = 2 the distinct first-variable exponents
+    # of E, for N = 1 none
     from twistzeta import twists
-    from twistzeta.cyclotomic import CyclotomicElement
+    from twistzeta._backend import kernels
 
     X = [SparsePolynomial.variable(N, i) for i in range(1, N + 1)]
     Q = X[0] * rat(2, 3) + 1
@@ -261,19 +269,47 @@ def test_contraction_costs_one_product_per_prefix(monkeypatch, N):
     prefixes = {alpha[:n] for alpha in E.nums for n in range(1, N)}
 
     products = []
-    mul = CyclotomicElement.__mul__
+    mul = kernels.cyclo_mul
 
-    def counted(self, other):
-        if isinstance(other, CyclotomicElement):
-            products.append(1)
-        return mul(self, other)
+    def counted(*args):
+        products.append(1)
+        return mul(*args)
 
     def refuse(*args):
         raise AssertionError("monomial_sum on the exact closed route")
 
-    monkeypatch.setattr(CyclotomicElement, "__mul__", counted)
+    monkeypatch.setattr(kernels, "cyclo_mul", counted)
     monkeypatch.setattr(twists, "monomial_sum", refuse)
     got = closed_value(Q, (P,), k, mus)
     monkeypatch.undo()
     assert got == want
     assert len(products) == len(prefixes)
+
+
+def test_abel_reuses_the_closed_route_powers(monkeypatch):
+    # closed_value leaves P_t^(k_t) on each factor, so Abel's expansion
+    # at the same k multiplies Q by those powers and squares nothing
+    from twistzeta import ZetaInstance
+    from twistzeta._backend import kernels
+    from twistzeta.abel import abel_richardson
+
+    P1 = _X * 2 + _Y + rat(1, 3)
+    P2 = _X * _Y + _Y * rat(3, 2) + 1
+    inst = ZetaInstance(_X + rat(1, 2), (P1, P2), TwistVector.exact(6, [1, 5]))
+    k = (3, 2)
+    value = closed_value(inst.Q, inst.Ps, k, inst.mus)
+    powers = [P1**3, P2**2]
+
+    operands = []
+    mul = kernels.mul_terms
+
+    def counted(A, B, *args, **kwargs):
+        operands.append(B)
+        return mul(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "mul_terms", counted)
+    estimate = abel_richardson(inst, k)
+    monkeypatch.undo()
+    assert len(operands) == 2
+    assert all(B is P.nums for B, P in zip(operands, powers))
+    assert abs(estimate - value.embed()) < 1e-6

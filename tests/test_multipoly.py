@@ -9,14 +9,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistzeta._rational import rat
 from twistzeta.errors import DimensionMismatch
 from twistzeta.multipoly import NEG_INF, SparsePolynomial
 
-from _support import fraction_tables
+from _support import fraction_polynomials, fraction_tables
 
 
 def poly_strategy(nvars, maxdeg=3, maxterms=5):
@@ -104,6 +104,45 @@ X = SparsePolynomial.variable(1, 1)
 def test_powers_up_to_nine_match_repeated_products(A):
     for k in range(10):
         assert A ** k == _repeated_product(A, k)
+
+
+def _stored_powers(p):
+    """The SparsePolynomials held in p's slots, inside tuples, lists and
+    dict values too."""
+    held, todo = [], [getattr(p, name) for name in SparsePolynomial.__slots__]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, SparsePolynomial):
+            held.append(value)
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif isinstance(value, dict) and value is not p.nums:
+            todo.extend(value.values())
+    return held
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    fraction_polynomials(n), st.permutations(range(10)))))
+@example((rat(3, 7) * X ** 2 - rat(1, 2) * X + rat(5, 3), list(range(10))))
+def test_stored_power_matches_fraction_products(case):
+    # one object powered in ascending, descending and shuffled k: each
+    # power starts from the one stored by the call before, and equals
+    # the plain product of Fraction tables
+    P, shuffled = case
+    fresh = SparsePolynomial(P.nvars, P.terms)
+    want = [{(0,) * P.nvars: Fraction(1)}]
+    for _ in range(9):
+        want.append(_fmul(want[-1], P.terms))
+    for order in (range(10), range(9, -1, -1), shuffled):
+        for k in order:
+            got = P**k
+            assert math.gcd(got.den, *got.nums.values()) == 1
+            assert got.terms == want[k]
+            assert len(_stored_powers(P)) <= 1
+    assert P == fresh and hash(P) == hash(fresh)
+    assert repr(P) == repr(fresh)
+    assert P.canonical_text() == fresh.canonical_text()
 
 
 def test_negative_power_rejected():
